@@ -163,8 +163,14 @@ main(int argc, char **argv)
             jsonPath = argv[++i];
         else if (std::strcmp(argv[i], "--bvsweep") == 0 && i + 1 < argc)
             bvsweepPath = argv[++i];
-        else
-            jsonPath = argv[i];
+        else {
+            std::fprintf(stderr,
+                         "bench_throughput: unknown argument '%s'\n"
+                         "usage: bench_throughput [--smoke] "
+                         "[--out PATH] [--bvsweep PATH]\n",
+                         argv[i]);
+            return 2;
+        }
     }
 
     bench::Context ctx;

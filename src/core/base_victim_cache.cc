@@ -130,8 +130,10 @@ bool
 BaseVictimLlc::tryInsertVictim(SetIdx set, const CacheLine &line,
                                LlcResult &result)
 {
-    // Collect every way where the victim fits beside the base line.
-    std::vector<VictimCandidate> candidates;
+    // Collect every way where the victim fits beside the base line,
+    // into a member buffer so a Baseline eviction does not allocate.
+    std::vector<VictimCandidate> &candidates = candidateScratch_;
+    candidates.clear();
     for (const WayIdx w : indexRange<WayIdx>(ways_)) {
         const SegCount baseSegs = base_.valid(set, w)
                                       ? base_.segments(set, w)

@@ -229,6 +229,8 @@ class BaseVictimLlc : public Llc
     TagArray victim_; // SoA Victim-Cache section
     std::unique_ptr<ReplacementPolicy> baseRepl_;
     std::unique_ptr<VictimReplacement> victimRepl_;
+    /** tryInsertVictim()'s candidate list, reused across evictions. */
+    std::vector<VictimCandidate> candidateScratch_;
     const Compressor &comp_;
     bool inclusive_;
     unsigned quantumSegments_; //!< segments per size-field step

@@ -245,9 +245,11 @@ Hierarchy::load(Addr pc, Addr addr, Cycle cycle)
         prefetchScratch_.clear();
         l1Prefetcher_.observe(pc, blk, !hit, prefetchScratch_);
         // L1 prefetches must respect inclusion: fill the LLC and L2
-        // first, then the L1.
-        const auto candidates = prefetchScratch_;
-        for (const Addr pa : candidates) {
+        // first, then the L1. The batch is swapped out, not copied: the
+        // loop stays valid if a fill reuses prefetchScratch_, and a
+        // load allocates nothing.
+        l1PrefetchBatch_.swap(prefetchScratch_);
+        for (const Addr pa : l1PrefetchBatch_) {
             if (l1d_.probe(pa))
                 continue;
             prefetchLine(pa, cycle, true);

@@ -165,6 +165,7 @@ class Hierarchy
     std::function<bool(Addr)> backInvalidate_;
     std::function<void(Addr, bool, Cycle)> coherenceTouch_;
     std::vector<Addr> prefetchScratch_;
+    std::vector<Addr> l1PrefetchBatch_; //!< load()'s L1 prefetches in flight
     StatGroup stats_;
     HotCounters ctr_; //!< must follow stats_ initialization
 };

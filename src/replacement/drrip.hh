@@ -34,6 +34,7 @@ class DrripPolicy : public ReplacementPolicy
     void onHit(SetIdx set, WayIdx way) override;
     void onInvalidate(SetIdx set, WayIdx way) override;
     [[nodiscard]] std::vector<WayIdx> rank(SetIdx set) override;
+    [[nodiscard]] WayIdx victim(SetIdx set) override;
     [[nodiscard]] std::vector<WayIdx>
     preferredVictims(SetIdx set) override;
     [[nodiscard]] std::vector<std::uint64_t>
@@ -46,6 +47,12 @@ class DrripPolicy : public ReplacementPolicy
     [[nodiscard]] bool brripSelected() const { return psel_ > 0; }
 
   private:
+    /**
+     * Raise every RRPV of `set` by the same amount until one way sits
+     * at kMaxRrpv; returns the set's RRPV row.
+     */
+    std::uint8_t *age(SetIdx set);
+
     enum class SetRole : std::uint8_t
     {
         Follower,

@@ -55,6 +55,19 @@ LruPolicy::rank(SetIdx set)
     return order;
 }
 
+WayIdx
+LruPolicy::victim(SetIdx set)
+{
+    // The oldest stamp; strict < keeps the lowest way on a tie, as the
+    // stable sort in rank() does.
+    const Tick *row = &stamps_[idx(set, WayIdx{0})];
+    std::size_t best = 0;
+    for (std::size_t w = 1; w < ways_; ++w)
+        if (row[w] < row[best])
+            best = w;
+    return WayIdx{best};
+}
+
 std::vector<std::uint64_t>
 LruPolicy::stateSnapshot(SetIdx set) const
 {

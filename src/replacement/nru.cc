@@ -85,4 +85,14 @@ NruPolicy::rank(SetIdx set)
     return order;
 }
 
+WayIdx
+NruPolicy::victim(SetIdx set)
+{
+    const auto *row = &bits_[idx(set, WayIdx{0})];
+    for (std::size_t w = 0; w < ways_; ++w)
+        if (row[w])
+            return WayIdx{w};
+    return WayIdx{0};
+}
+
 } // namespace bvc

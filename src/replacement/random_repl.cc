@@ -1,12 +1,15 @@
 #include "replacement/random_repl.hh"
 
+#include <utility>
+
 namespace bvc
 {
 
 RandomPolicy::RandomPolicy(std::size_t sets, std::size_t ways,
                            std::uint64_t seed)
     : ReplacementPolicy(sets, ways),
-      rng_(seed)
+      rng_(seed),
+      shuffle_(ways)
 {
 }
 
@@ -23,6 +26,20 @@ RandomPolicy::rank(SetIdx)
         std::swap(order[i - 1], order[j]);
     }
     return order;
+}
+
+WayIdx
+RandomPolicy::victim(SetIdx)
+{
+    // The same Fisher-Yates draws as rank(), in a preallocated buffer.
+    std::vector<std::size_t> &order = shuffle_;
+    for (std::size_t w = 0; w < ways_; ++w)
+        order[w] = w;
+    for (std::size_t i = ways_; i > 1; --i) {
+        const auto j = static_cast<std::size_t>(rng_.range(i));
+        std::swap(order[i - 1], order[j]);
+    }
+    return WayIdx{order[0]};
 }
 
 std::vector<std::uint64_t>

@@ -25,12 +25,14 @@ class RandomPolicy : public ReplacementPolicy
     void onHit(SetIdx, WayIdx) override {}
     void onInvalidate(SetIdx, WayIdx) override {}
     [[nodiscard]] std::vector<WayIdx> rank(SetIdx set) override;
+    [[nodiscard]] WayIdx victim(SetIdx set) override;
     [[nodiscard]] std::vector<std::uint64_t>
     stateSnapshot(SetIdx set) const override;
     [[nodiscard]] std::string name() const override { return "Random"; }
 
   private:
     Rng rng_;
+    std::vector<std::size_t> shuffle_; //!< victim()'s way order, ways_ long
 };
 
 } // namespace bvc

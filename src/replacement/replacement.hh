@@ -1,11 +1,12 @@
 /**
  * @file
  * Replacement-policy interface shared by every cache model. A policy owns
- * per-(set, way) age state for a cache of fixed geometry and exposes a
- * victim *ranking* rather than a single victim: the compressed-cache
- * models (Section III / VI.B of the paper) need to walk candidates in
+ * per-(set, way) age state for a cache of fixed geometry and exposes both
+ * a single victim and a victim *ranking*: the compressed-cache models
+ * (Section III / VI.B of the paper) need to walk candidates in
  * policy-preference order and filter them by compressed-size fit, which a
- * single-victim interface cannot express.
+ * single-victim interface cannot express, while every plain eviction
+ * needs only the first candidate and takes the allocation-free victim().
  *
  * Sets and ways are addressed with the strong index types of
  * util/strong_types.hh: passing a set where a way is expected (or vice
@@ -60,8 +61,19 @@ class ReplacementPolicy
      * All ways of `set` ordered best-victim-first. May mutate aging state
      * (e.g., SRRIP increments RRPVs until a victim exists), so callers
      * must only invoke this when a replacement decision is actually due.
+     * Only the models that walk the full order (DCC, VSC) need it; a
+     * single eviction uses victim().
      */
     [[nodiscard]] virtual std::vector<WayIdx> rank(SetIdx set) = 0;
+
+    /**
+     * The single preferred victim of `set`. This is the miss path of
+     * every cache, so it must not allocate. Contract: it returns exactly
+     * `rank(set).front()` and leaves exactly the state `rank(set)`
+     * leaves (aging, selector updates, PRNG draws), so the two are
+     * interchangeable in any call sequence.
+     */
+    [[nodiscard]] virtual WayIdx victim(SetIdx set) = 0;
 
     /**
      * The policy's current victim-candidate *class* for `set`: the ways
@@ -73,14 +85,7 @@ class ReplacementPolicy
     [[nodiscard]] virtual std::vector<WayIdx>
     preferredVictims(SetIdx set)
     {
-        return {rank(set).front()};
-    }
-
-    /** Convenience: the single preferred victim (first of rank()). */
-    [[nodiscard]] WayIdx
-    victim(SetIdx set)
-    {
-        return rank(set).front();
+        return {victim(set)};
     }
 
     /**

@@ -48,25 +48,20 @@ SrripPolicy::stateSnapshot(SetIdx set) const
 std::vector<WayIdx>
 SrripPolicy::preferredVictims(SetIdx set)
 {
-    // rank() ages the set so that at least one way sits at kMaxRrpv;
-    // the candidate class is exactly the max-RRPV ways.
-    const auto order = rank(set);
-    const auto *row = &rrpvs_[idx(set, WayIdx{0})];
+    // The candidate class is exactly the max-RRPV ways after aging, in
+    // way order: the prefix rank()'s stable sort puts first.
+    const std::uint8_t *row = age(set);
     std::vector<WayIdx> candidates;
-    for (const WayIdx w : order) {
+    for (const WayIdx w : indexRange<WayIdx>(ways_))
         if (row[w.get()] == kMaxRrpv)
             candidates.push_back(w);
-        else
-            break;
-    }
     return candidates;
 }
 
-std::vector<WayIdx>
-SrripPolicy::rank(SetIdx set)
+std::uint8_t *
+SrripPolicy::age(SetIdx set)
 {
     auto *row = &rrpvs_[idx(set, WayIdx{0})];
-
     // Age the set until at least one way is a distant re-reference.
     auto maxIt = std::max_element(row, row + ways_);
     if (*maxIt < kMaxRrpv) {
@@ -75,7 +70,23 @@ SrripPolicy::rank(SetIdx set)
         for (std::size_t w = 0; w < ways_; ++w)
             row[w] = static_cast<std::uint8_t>(row[w] + delta);
     }
+    return row;
+}
 
+WayIdx
+SrripPolicy::victim(SetIdx set)
+{
+    const std::uint8_t *row = age(set);
+    for (std::size_t w = 0; w < ways_; ++w)
+        if (row[w] == kMaxRrpv)
+            return WayIdx{w};
+    return WayIdx{0}; // unreachable: age() leaves a way at kMaxRrpv
+}
+
+std::vector<WayIdx>
+SrripPolicy::rank(SetIdx set)
+{
+    const std::uint8_t *row = age(set);
     std::vector<WayIdx> order;
     order.reserve(ways_);
     for (const WayIdx w : indexRange<WayIdx>(ways_))

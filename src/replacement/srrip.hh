@@ -28,6 +28,7 @@ class SrripPolicy : public ReplacementPolicy
     void onHit(SetIdx set, WayIdx way) override;
     void onInvalidate(SetIdx set, WayIdx way) override;
     [[nodiscard]] std::vector<WayIdx> rank(SetIdx set) override;
+    [[nodiscard]] WayIdx victim(SetIdx set) override;
     [[nodiscard]] std::vector<WayIdx>
     preferredVictims(SetIdx set) override;
     [[nodiscard]] std::vector<std::uint64_t>
@@ -38,6 +39,12 @@ class SrripPolicy : public ReplacementPolicy
     [[nodiscard]] unsigned rrpv(SetIdx set, WayIdx way) const;
 
   private:
+    /**
+     * Raise every RRPV of `set` by the same amount until one way sits
+     * at kMaxRrpv; returns the set's RRPV row.
+     */
+    std::uint8_t *age(SetIdx set);
+
     std::vector<std::uint8_t> rrpvs_;
 };
 

@@ -30,6 +30,14 @@ crcHex(std::uint32_t crc)
     return buf;
 }
 
+/** One journal record: magic, payload CRC, payload, newline. */
+std::string
+frameRecord(const std::string &payload)
+{
+    return std::string(kMagic) + " " + crcHex(crc32(payload)) + " " +
+        payload + "\n";
+}
+
 std::string
 headerPayload(const std::string &tool, const std::string &signature,
               std::size_t jobCount, std::size_t shardIndex,
@@ -376,17 +384,18 @@ JournalWriter::JournalWriter(const std::string &path,
                              std::size_t shardCount)
     : path_(path)
 {
-    fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    // The header is staged and renamed into place (writeFileAtomic also
+    // syncs the directory entry): a process killed while creating its
+    // journal leaves either no journal, so a restart begins fresh, or
+    // one with a complete header it can resume — never a headerless
+    // file that every resume would refuse.
+    writeFileAtomic(path, frameRecord(headerPayload(
+                              tool, signature, jobCount, shardIndex,
+                              shardCount)));
+    fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND);
     if (fd_ < 0)
-        fatal("cannot create journal '" + path + "': " +
+        fatal("cannot open journal '" + path + "': " +
               std::strerror(errno));
-    // Persist the new directory entry too: a freshly created journal
-    // that disappears from its directory on power loss would break the
-    // resume promise just as surely as an unsynced record.
-    fsyncParentDir(path);
-    appendPayload(
-        headerPayload(tool, signature, jobCount, shardIndex,
-                      shardCount));
 }
 
 JournalWriter::JournalWriter(const std::string &path,
@@ -421,9 +430,7 @@ JournalWriter::append(const JobResult &result)
 void
 JournalWriter::appendPayload(const std::string &payload)
 {
-    const std::string line = std::string(kMagic) + " " +
-                             crcHex(crc32(payload)) + " " + payload +
-                             "\n";
+    const std::string line = frameRecord(payload);
     MutexLock lock(mutex_);
     std::size_t written = 0;
     while (written < line.size()) {

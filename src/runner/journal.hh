@@ -99,10 +99,11 @@ class JournalWriter
 {
   public:
     /**
-     * Create/truncate `path` and write the header record (stamped
+     * Create/replace `path` holding just the header record (stamped
      * with the shard coordinates; the defaults are the unsharded
-     * campaign). The new file's parent directory is fsync'd so the
-     * journal cannot vanish from the directory after a power loss.
+     * campaign). The header is written atomically (writeFileAtomic):
+     * the journal appears with a complete header or not at all, and
+     * cannot vanish from its directory after a power loss.
      */
     JournalWriter(const std::string &path, const std::string &tool,
                   const std::string &signature, std::size_t jobCount,

@@ -10,6 +10,8 @@
  * into a byte-identical report.
  */
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -520,6 +522,22 @@ TEST(Journal, CrcCorruptionIsRejectedWithByteOffset)
         EXPECT_NE(std::string(e.what()).find("byte"),
                   std::string::npos);
     }
+}
+
+TEST(Journal, CreateReplacesAnExistingFileWithAHeaderOnlyJournal)
+{
+    // Creation stages the header in `path`.tmp and renames it over
+    // whatever was there, so the journal is never seen headerless.
+    const std::string path = tempPath("replace.journal");
+    writeFile(path, "stale bytes from an earlier campaign\n");
+    {
+        JournalWriter writer(path, "unit", "deadbeef", 3);
+        const JournalData data = readJournal(path);
+        EXPECT_EQ(data.signature, "deadbeef");
+        EXPECT_EQ(data.jobCount, 3u);
+        EXPECT_TRUE(data.results.empty());
+    }
+    EXPECT_NE(::access((path + ".tmp").c_str(), F_OK), 0);
 }
 
 TEST(Journal, MalformedFramingIsRejected)

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "replacement/char_policy.hh"
 #include "replacement/factory.hh"
@@ -266,16 +267,55 @@ TEST_P(ReplacementProperty, PreferredVictimsAreValidWays)
     }
 }
 
-TEST_P(ReplacementProperty, VictimIsFirstOfRank)
+TEST_P(ReplacementProperty, VictimMatchesRankFrontInLockstep)
 {
-    auto policy = makeReplacement(GetParam(), 1, 4);
-    // Random policy re-ranks every call, so only check determinism for
-    // stateful policies.
-    if (GetParam() == ReplacementKind::Random)
-        return;
-    policy->onFill(SetIdx{0}, WayIdx{0});
-    policy->onFill(SetIdx{0}, WayIdx{2});
-    EXPECT_EQ(policy->victim(SetIdx{0}), policy->rank(SetIdx{0}).front());
+    // Two instances see the same random event stream; at each decision
+    // one answers with victim(), the other with rank().front(). The ways
+    // must match and every snapshot must stay equal, so victim() is a
+    // drop-in for rank().front() including its side effects (aging,
+    // selector updates, PRNG draws). Four sets cover both dueling
+    // leaders (sets 0 and 1) and two followers.
+    constexpr std::size_t kSets = 4;
+    for (const std::size_t ways : {1u, 2u, 8u, 16u, 32u}) {
+        SCOPED_TRACE("ways=" + std::to_string(ways));
+        auto fast = makeReplacement(GetParam(), kSets, ways);
+        auto ranked = makeReplacement(GetParam(), kSets, ways);
+        Rng rng(ways);
+        for (int step = 0; step < 4000; ++step) {
+            const SetIdx set{rng.range(kSets)};
+            const WayIdx way{rng.range(ways)};
+            switch (rng.range(6)) {
+              case 0:
+                fast->onFill(set, way);
+                ranked->onFill(set, way);
+                break;
+              case 1:
+                fast->onHit(set, way);
+                ranked->onHit(set, way);
+                break;
+              case 2:
+                fast->onInvalidate(set, way);
+                ranked->onInvalidate(set, way);
+                break;
+              case 3:
+                fast->downgradeHint(set, way);
+                ranked->downgradeHint(set, way);
+                break;
+              default: {
+                // A miss: pick the victim, then fill it.
+                const WayIdx chosen = fast->victim(set);
+                ASSERT_EQ(chosen, ranked->rank(set).front())
+                    << "step " << step;
+                fast->onFill(set, chosen);
+                ranked->onFill(set, chosen);
+                break;
+              }
+            }
+            for (const SetIdx s : indexRange<SetIdx>(kSets))
+                ASSERT_EQ(fast->stateSnapshot(s), ranked->stateSnapshot(s))
+                    << "step " << step << ", set " << s.get();
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
