@@ -46,12 +46,12 @@ namespace bvc
 [[nodiscard]] inline std::size_t
 cacheSetCount(std::size_t sizeBytes, std::size_t ways, const char *what)
 {
-    panicIf(ways == 0,
-            std::string(what) + " associativity must be nonzero");
+    if (ways == 0)
+        panic(std::string(what) + " associativity must be nonzero");
     const std::size_t sets = sizeBytes / kLineBytes / ways;
-    panicIf(sets == 0 || (sets & (sets - 1)) != 0,
-            std::string(what) +
-                " set count must be a nonzero power of two");
+    if (sets == 0 || (sets & (sets - 1)) != 0)
+        panic(std::string(what) +
+              " set count must be a nonzero power of two");
     return sets;
 }
 

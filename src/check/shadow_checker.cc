@@ -29,7 +29,7 @@ accessTypeName(AccessType type)
 }
 
 std::string
-addrList(std::vector<Addr> addrs)
+addrList(BlockList addrs)
 {
     std::sort(addrs.begin(), addrs.end());
     std::string out = "[";
@@ -184,7 +184,7 @@ ShadowChecker::checkMirror(Addr blk, const LlcResult &got,
     // same lines leave the baseline content.
     LlcResult gotCopy = got;
     LlcResult wantCopy = want;
-    auto sorted = [](std::vector<Addr> &v) {
+    auto sorted = [](BlockList &v) {
         std::sort(v.begin(), v.end());
     };
     sorted(gotCopy.memWritebacks);

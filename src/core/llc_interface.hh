@@ -14,6 +14,8 @@
 #ifndef BVC_CORE_LLC_INTERFACE_HH_
 #define BVC_CORE_LLC_INTERFACE_HH_
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -25,6 +27,65 @@
 
 namespace bvc
 {
+
+/**
+ * Block addresses an LLC access emits, held inline up to two: every
+ * Base-Victim (inclusive or not), uncompressed and two-tag result fits,
+ * so the per-access path allocates nothing. VSC and DCC can evict more
+ * lines per fill; past two the list moves to a heap vector. Contiguous
+ * either way, so it sorts and compares like the vector it replaces.
+ */
+class BlockList
+{
+  public:
+    using iterator = Addr *;
+    using const_iterator = const Addr *;
+
+    /** Addresses held without touching the heap. */
+    static constexpr std::size_t kInline = 2;
+
+    void
+    push_back(Addr blk)
+    {
+        if (size_ < kInline) {
+            inline_[size_++] = blk;
+            return;
+        }
+        if (size_ == kInline)
+            spill_.assign(inline_.begin(), inline_.end());
+        spill_.push_back(blk);
+        ++size_;
+    }
+
+    [[nodiscard]] std::size_t size() const { return size_; }
+    [[nodiscard]] bool empty() const { return size_ == 0; }
+
+    Addr *data() { return size_ > kInline ? spill_.data() : inline_.data(); }
+    const Addr *
+    data() const
+    {
+        return size_ > kInline ? spill_.data() : inline_.data();
+    }
+
+    Addr *begin() { return data(); }
+    Addr *end() { return data() + size_; }
+    const Addr *begin() const { return data(); }
+    const Addr *end() const { return data() + size_; }
+
+    const Addr &operator[](std::size_t i) const { return data()[i]; }
+    [[nodiscard]] const Addr &front() const { return data()[0]; }
+
+    friend bool
+    operator==(const BlockList &a, const BlockList &b)
+    {
+        return std::equal(a.begin(), a.end(), b.begin(), b.end());
+    }
+
+  private:
+    std::array<Addr, kInline> inline_{};
+    std::size_t size_ = 0;
+    std::vector<Addr> spill_; //!< all entries once size_ > kInline
+};
 
 /** Outcome of one LLC access, consumed by the hierarchy model. */
 struct LlcResult
@@ -44,13 +105,13 @@ struct LlcResult
      * access. Base-Victim performs at most one per fill by construction;
      * the naive two-tag scheme can produce two (both partners dirty).
      */
-    std::vector<Addr> memWritebacks;
+    BlockList memWritebacks;
     /**
      * Block addresses whose upper-level (L1/L2) copies must be
      * invalidated to preserve inclusion: every line removed from the
      * baseline content, including lines migrated into the Victim Cache.
      */
-    std::vector<Addr> backInvalidations;
+    BlockList backInvalidations;
 };
 
 /** Abstract LLC. Fill-on-miss happens inside access(). */

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/logging.hh"
+
 namespace bvc
 {
 
@@ -20,6 +22,7 @@ OooCore::OooCore(const CoreConfig &cfg, Hierarchy &hierarchy)
       stats_("core"),
       ctr_(stats_)
 {
+    panicIf(cfg.robSize == 0, "OooCore: robSize must be positive");
 }
 
 bool
@@ -36,7 +39,7 @@ void
 OooCore::stepRecord(const TraceRecord &record)
 {
     // --- Fetch: 4-wide, stalls when the ROB slot is still in flight ---
-    const std::size_t slot = retired_ % rob_.size();
+    const std::size_t slot = robSlot_;
     Cycle fetch = fetchCycle_;
     if (rob_[slot] > fetch) {
         // ROB full: the window cannot advance past an incomplete
@@ -88,6 +91,8 @@ OooCore::stepRecord(const TraceRecord &record)
     rob_[slot] = complete;
     maxComplete_ = std::max(maxComplete_, complete);
     ++retired_;
+    if (++robSlot_ == rob_.size())
+        robSlot_ = 0;
 
     // Advance the fetch clock: fetchWidth instructions per cycle.
     if (++slotInCycle_ >= cfg_.fetchWidth) {

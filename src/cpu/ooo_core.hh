@@ -81,6 +81,12 @@ class OooCore
     /** IPC and counts since beginMeasurement() (or construction). */
     CoreResult result() const;
 
+    /** result().instructions without computing the rest. */
+    std::uint64_t measuredInstructions() const
+    {
+        return retired_ - measureStartInstr_;
+    }
+
     /** Current core clock (grows as instructions execute). */
     Cycle currentCycle() const { return fetchCycle_; }
 
@@ -103,6 +109,9 @@ class OooCore
 
     std::vector<Cycle> rob_;  //!< completion cycle per ROB slot
     std::uint64_t retired_ = 0;
+    /** retired_ % rob_.size(), wrapped by hand: robSize need not be a
+     *  power of two, and a 64-bit modulo per instruction is a divide. */
+    std::size_t robSlot_ = 0;
     Cycle fetchCycle_ = 0;
     unsigned slotInCycle_ = 0;
     Cycle lastLoadComplete_ = 0;

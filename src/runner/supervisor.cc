@@ -40,9 +40,9 @@ launchWorker(const WorkerSpec &spec, unsigned attempt)
         attempt > 0 && ::access(spec.journalPath.c_str(), F_OK) == 0;
     const std::vector<std::string> &argv =
         resume ? spec.resumeArgv : spec.freshArgv;
-    panicIf(argv.empty(), "supervisor: worker spec for shard " +
-                              std::to_string(spec.shardIndex) +
-                              " has an empty argv");
+    if (argv.empty())
+        panic("supervisor: worker spec for shard " +
+              std::to_string(spec.shardIndex) + " has an empty argv");
 
     const pid_t pid = ::fork();
     if (pid < 0)

@@ -90,13 +90,12 @@ compareOnSuite(const SystemConfig &baseCfg, const SystemConfig &testCfg,
         ratio.test = results[2 * i + 1].result;
         ratio.baseSeconds = results[2 * i].wallSeconds;
         ratio.testSeconds = results[2 * i + 1].wallSeconds;
-        panicIf(!std::isfinite(ratio.base.ipc) ||
-                    ratio.base.ipc <= 0.0,
-                "baseline IPC must be finite and positive (trace " +
-                    ratio.name + ")");
-        panicIf(!std::isfinite(ratio.test.ipc) || ratio.test.ipc <= 0.0,
-                "test IPC must be finite and positive (trace " +
-                    ratio.name + ")");
+        if (!std::isfinite(ratio.base.ipc) || ratio.base.ipc <= 0.0)
+            panic("baseline IPC must be finite and positive (trace " +
+                  ratio.name + ")");
+        if (!std::isfinite(ratio.test.ipc) || ratio.test.ipc <= 0.0)
+            panic("test IPC must be finite and positive (trace " +
+                  ratio.name + ")");
         ratio.ipcRatio = ratio.test.ipc / ratio.base.ipc;
         // Traces with almost no memory traffic get a neutral ratio.
         ratio.dramReadRatio = ratio.base.dramReads > 0
@@ -118,9 +117,9 @@ geomean(const std::vector<double> &values)
         // NaN compares false against any threshold, so a plain
         // v <= 0.0 guard would let it slip through and silently poison
         // the aggregate via log(NaN).
-        panicIf(!std::isfinite(v) || v <= 0.0,
-                "geomean requires finite positive values, got " +
-                    std::to_string(v));
+        if (!std::isfinite(v) || v <= 0.0)
+            panic("geomean requires finite positive values, got " +
+                  std::to_string(v));
         logSum += std::log(v);
     }
     return std::exp(logSum / static_cast<double>(values.size()));

@@ -11,11 +11,11 @@ namespace bvc
 double
 MultiRunResult::weightedSpeedup(const MultiRunResult &base) const
 {
-    panicIf(ipc.size() != base.ipc.size(),
-            "weightedSpeedup: core-count mismatch (" +
-                std::to_string(ipc.size()) + " vs " +
-                std::to_string(base.ipc.size()) +
-                " threads); compare runs of the same mix");
+    if (ipc.size() != base.ipc.size())
+        panic("weightedSpeedup: core-count mismatch (" +
+              std::to_string(ipc.size()) + " vs " +
+              std::to_string(base.ipc.size()) +
+              " threads); compare runs of the same mix");
     double sum = 0.0;
     for (std::size_t i = 0; i < ipc.size(); ++i) {
         panicIf(base.ipc[i] <= 0.0, "weightedSpeedup: zero baseline IPC");
@@ -254,23 +254,25 @@ MultiCoreSystem::run(std::uint64_t warmup, std::uint64_t measure)
     result.instructions.assign(n, 0);
     std::vector<std::uint8_t> snapped(n, 0);
     std::size_t remaining = n;
+    const auto snapIfCrossed = [&](std::size_t i) {
+        if (snapped[i] || cores_[i]->measuredInstructions() < measure)
+            return;
+        const CoreResult cr = cores_[i]->result();
+        result.ipc[i] = cr.ipc;
+        result.instructions[i] = cr.instructions;
+        snapped[i] = 1;
+        --remaining;
+    };
     // Run until every thread crossed its measured window; early
     // finishers keep executing (contention), their IPC snapshotted at
-    // the crossing point.
-    while (remaining > 0) {
-        stepOne();
-        for (std::size_t i = 0; i < n; ++i) {
-            if (snapped[i])
-                continue;
-            const CoreResult cr = cores_[i]->result();
-            if (cr.instructions >= measure) {
-                result.ipc[i] = cr.ipc;
-                result.instructions[i] = cr.instructions;
-                snapped[i] = 1;
-                --remaining;
-            }
-        }
-    }
+    // the crossing point. Only a core that steps can cross, so after
+    // the first step (which checks every core, as a zero-length window
+    // needs) each step checks just the core it advanced.
+    stepOne();
+    for (std::size_t i = 0; i < n; ++i)
+        snapIfCrossed(i);
+    while (remaining > 0)
+        snapIfCrossed(stepOne().get());
 
     result.dramReads = dram_.stats().get("reads");
     result.dramWrites = dram_.stats().get("writes");

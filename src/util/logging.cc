@@ -9,7 +9,13 @@ namespace bvc
 void
 panic(const std::string &msg)
 {
-    std::fprintf(stderr, "panic: %s\n", msg.c_str());
+    panic(msg.c_str());
+}
+
+void
+panic(const char *msg)
+{
+    std::fprintf(stderr, "panic: %s\n", msg);
     std::abort();
 }
 

@@ -19,6 +19,9 @@ namespace bvc
  */
 [[noreturn]] void panic(const std::string &msg);
 
+/** panic() for a literal message: nothing is built to report it. */
+[[noreturn]] void panic(const char *msg);
+
 /**
  * Report an unrecoverable user/configuration error and exit(1). Use when
  * the simulation cannot continue due to bad parameters.
@@ -35,11 +38,16 @@ void inform(const std::string &msg);
  * Assert an internal invariant; panics with the given message on failure.
  * Unlike assert() this is active in release builds, because the property
  * tests rely on invariant checking under -O2.
+ *
+ * The message is a literal on purpose: checks sit on the per-access
+ * path, and a std::string argument would be built (and freed) on every
+ * call, fired or not. Compose a message inside the failing branch
+ * instead: `if (cond) panic("..." + std::to_string(x));`.
  */
 inline void
-panicIf(bool condition, const std::string &msg)
+panicIf(bool condition, const char *msg)
 {
-    if (condition)
+    if (condition) [[unlikely]]
         panic(msg);
 }
 

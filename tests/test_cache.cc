@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/cache.hh"
+#include "cache/tag_array.hh"
 
 namespace bvc
 {
@@ -160,6 +161,25 @@ TEST(CacheDeathTest, NonPowerOfTwoSetsPanics)
 {
     EXPECT_DEATH(Cache("t", 3 * 1024, 4, ReplacementKind::Lru, 1),
                  "power of two");
+}
+
+TEST(TagArrayDeathTest, InstallRejectsAnInvalidLine)
+{
+    TagArray tags(4, 2);
+    CacheLine line;
+    line.tag = kBlk;
+    EXPECT_DEATH(tags.install(SetIdx{1}, WayIdx{0}, line),
+                 "TagArray: installing an invalid line");
+}
+
+TEST(TagArrayDeathTest, InstallRejectsTheSentinelTag)
+{
+    TagArray tags(4, 2);
+    CacheLine line;
+    line.valid = true;
+    line.tag = TagArray::kInvalidTag;
+    EXPECT_DEATH(tags.install(SetIdx{1}, WayIdx{0}, line),
+                 "TagArray: line tag collides with the invalid sentinel");
 }
 
 } // namespace

@@ -175,7 +175,16 @@ TEST(OooCore, BeginMeasurementExcludesWarmup)
         f.core_->step(trace);
     const CoreResult result = f.core_->result();
     EXPECT_EQ(result.instructions, 3000u);
+    EXPECT_EQ(f.core_->measuredInstructions(), 3000u);
     EXPECT_NEAR(result.ipc, 4.0, 0.1);
+}
+
+TEST(OooCoreDeathTest, RejectsAnEmptyRob)
+{
+    CoreFixture f;
+    CoreConfig cfg;
+    cfg.robSize = 0;
+    EXPECT_DEATH(OooCore(cfg, *f.hier_), "robSize must be positive");
 }
 
 TEST(OooCore, RetiredCountsAllSteps)

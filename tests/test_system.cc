@@ -182,6 +182,14 @@ TEST(Experiment, GeomeanBasics)
     EXPECT_NEAR(geomean({2.0, 8.0}), 4.0, 1e-12);
 }
 
+TEST(ExperimentDeathTest, GeomeanRejectsNonPositiveValues)
+{
+    EXPECT_DEATH(geomean({2.0, 0.0}),
+                 "geomean requires finite positive values, got 0.000000");
+    EXPECT_DEATH(geomean({-1.5}),
+                 "geomean requires finite positive values, got -1.500000");
+}
+
 TEST(Experiment, CountBelowThreshold)
 {
     std::vector<TraceRatio> ratios(3);
