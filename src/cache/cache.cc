@@ -56,26 +56,17 @@ Cache::access(Addr blk, bool write, std::optional<Eviction> &evicted)
 
     ++(write ? ctr_.writeMisses : ctr_.readMisses);
 
-    // Prefer an invalid way; otherwise consult the replacement policy.
-    std::optional<WayIdx> victimWay = tags_.firstInvalid(set);
-    if (!victimWay)
-        victimWay = repl_->victim(set);
-
-    if (tags_.valid(set, *victimWay)) {
+    const WayIdx victimWay = tags_.fillWay(set, *repl_);
+    if (tags_.valid(set, victimWay)) {
         ++ctr_.evictions;
-        const bool wasDirty = tags_.dirty(set, *victimWay);
+        const bool wasDirty = tags_.dirty(set, victimWay);
         if (wasDirty)
             ++ctr_.dirtyEvictions;
-        evicted = Eviction{tags_.tag(set, *victimWay), wasDirty};
+        evicted = Eviction{tags_.tag(set, victimWay), wasDirty};
     }
-
-    CacheLine fill;
-    fill.tag = blk;
-    fill.valid = true;
-    fill.dirty = write;
-    fill.segments = kFullLineSegments;
-    tags_.install(set, *victimWay, fill);
-    repl_->onFill(set, *victimWay);
+    tags_.install(set, victimWay,
+                  CacheLine{.tag = blk, .valid = true, .dirty = write});
+    repl_->onFill(set, victimWay);
     return false;
 }
 

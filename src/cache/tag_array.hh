@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "cache/cache_line.hh"
+#include "replacement/replacement.hh"
 #include "util/logging.hh"
 #include "util/strong_types.hh"
 #include "util/types.hh"
@@ -57,9 +58,9 @@ cacheSetCount(std::size_t sizeBytes, std::size_t ways, const char *what)
 
 /**
  * Packed per-line metadata byte: segments in bits 0-4 (0..16), valid
- * in bit 5, dirty in bit 6. Shared with DccLlc, whose per-sub-block
- * metadata packs the same way but cannot use a whole TagArray (one
- * super-block tag covers four sub-block metadata entries).
+ * in bit 5, dirty in bit 6. Shared with DccLlc, which keeps its
+ * super-block tags in a TagArray and packs the metadata of the four
+ * sub-blocks under each tag this way in a parallel array.
  */
 namespace linemeta
 {
@@ -142,6 +143,21 @@ class TagArray
             if (row[w] == kInvalidTag)
                 return WayIdx{w};
         return std::nullopt;
+    }
+
+    /**
+     * The fill rule of an uncompressed set-associative cache: the
+     * lowest invalid way, else the policy's victim. Cache,
+     * UncompressedLlc and the Base-Victim Baseline Cache all fill
+     * through this one function, which is what keeps the Baseline
+     * Cache a way-exact mirror of the uncompressed cache (Section
+     * IV.A).
+     */
+    [[nodiscard]] WayIdx fillWay(SetIdx set, ReplacementPolicy &repl) const
+    {
+        if (const std::optional<WayIdx> w = firstInvalid(set))
+            return *w;
+        return repl.victim(set);
     }
 
     [[nodiscard]] bool valid(SetIdx set, WayIdx way) const

@@ -4,10 +4,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "core/base_victim_cache.hh"
-#include "core/dcc_cache.hh"
-#include "core/two_tag_array.hh"
-#include "core/vsc_cache.hh"
 #include "util/logging.hh"
 
 namespace bvc
@@ -65,28 +61,25 @@ ShadowChecker::ShadowChecker(std::unique_ptr<Llc> inner,
       inner_(std::move(inner))
 {
     panicIf(inner_ == nullptr, "ShadowChecker: null inner LLC");
-    bv_ = dynamic_cast<BaseVictimLlc *>(inner_.get());
-    unc_ = dynamic_cast<UncompressedLlc *>(inner_.get());
-    tt_ = dynamic_cast<TwoTagLlc *>(inner_.get());
-    vsc_ = dynamic_cast<VscLlc *>(inner_.get());
-    dcc_ = dynamic_cast<DccLlc *>(inner_.get());
+    model_ = dynamic_cast<SetAssocLlc *>(inner_.get());
+    if (model_ == nullptr)
+        return;
 
     // Full lockstep applies where the paper guarantees the mirror: the
     // inclusive Base-Victim cache (Section IV.A) and the baseline
-    // itself (a determinism self-check). The non-inclusive variant
-    // (Section IV.B.3) takes writeback misses an inclusive reference
-    // cannot follow, so it gets structural checks only; the two-tag /
-    // VSC / DCC models legitimately diverge (Section III), so their
-    // shadow is informational (hit-rate comparison, no assertion).
-    mirror_ = unc_ != nullptr || (bv_ != nullptr && bv_->inclusive());
-    const bool wantShadow = mirror_ || tt_ != nullptr ||
-        vsc_ != nullptr || dcc_ != nullptr;
-    if (wantShadow)
+    // itself (a determinism self-check). The two-tag / VSC / DCC
+    // models legitimately diverge (Section III), so their shadow is
+    // informational (hit-rate comparison, no assertion). The
+    // non-inclusive variant (Section IV.B.3) takes writeback misses an
+    // inclusive reference cannot follow, so it gets structural checks
+    // only.
+    mirror_ = model_->mirrorsBaseline();
+    if (model_->inclusive())
         shadow_ = std::make_unique<UncompressedLlc>(sizeBytes, ways,
                                                     repl);
-    if (bv_ != nullptr && mirror_) {
-        panicIf(shadow_->numSets() != bv_->numSets() ||
-                    shadow_->numWays() != bv_->numWays(),
+    if (mirror_) {
+        panicIf(shadow_->numSets() != model_->numSets() ||
+                    shadow_->numWays() != model_->numWays(),
                 "ShadowChecker: shadow geometry does not match the "
                 "Baseline Cache");
     }
@@ -135,7 +128,7 @@ ShadowChecker::checkMirror(Addr blk, const LlcResult &got,
         // Opportunistic win: legal only as a Victim-Cache hit of the
         // Base-Victim design; the baseline mirror itself may never
         // out-hit its shadow.
-        if (bv_ == nullptr || !got.victimHit)
+        if (!got.victimHit)
             fail("checked cache hit where the shadow missed without a "
                  "Victim-Cache hit (mirror divergence)");
         else if (lastType_ == AccessType::Read)
@@ -143,13 +136,12 @@ ShadowChecker::checkMirror(Addr blk, const LlcResult &got,
     }
 
     // Way-exact tag/valid/dirty mirror of the accessed set. Way-exact
-    // (not just same contents) because chooseBaseWay() replicates the
-    // uncompressed fill rule: invalid-way-first, then policy victim.
+    // (not just same contents) because both caches fill through the one
+    // uncompressed fill rule, TagArray::fillWay().
     const SetIdx set = shadow_->setIndex(blk);
     for (const WayIdx w : indexRange<WayIdx>(shadow_->numWays())) {
-        const CacheLine ref = shadow_->lineAt(set, w);
-        const CacheLine base = bv_ != nullptr ? bv_->baseLineAt(set, w)
-                                              : unc_->lineAt(set, w);
+        const CacheLine ref = shadow_->baseLineAt(set, w);
+        const CacheLine base = model_->baseLineAt(set, w);
         if (ref.valid != base.valid)
             fail("valid-bit mismatch in set " +
                  std::to_string(set.get()) + " way " +
@@ -170,12 +162,8 @@ ShadowChecker::checkMirror(Addr blk, const LlcResult &got,
 
     // Baseline replacement state must mirror exactly — this is what
     // makes future victim choices provably identical.
-    const std::vector<std::uint64_t> refState =
-        shadow_->replStateSnapshot(set);
-    const std::vector<std::uint64_t> baseState =
-        bv_ != nullptr ? bv_->baseReplStateSnapshot(set)
-                       : unc_->replStateSnapshot(set);
-    if (refState != baseState)
+    if (shadow_->baseReplStateSnapshot(set) !=
+        model_->baseReplStateSnapshot(set))
         fail("baseline replacement state diverged from the shadow in "
              "set " + std::to_string(set.get()));
 
@@ -204,15 +192,10 @@ ShadowChecker::checkMirror(Addr blk, const LlcResult &got,
 void
 ShadowChecker::checkAccessedSet()
 {
-    std::string violation;
-    if (bv_ != nullptr)
-        violation = bv_->checkSetInvariants(bv_->setIndex(lastBlk_));
-    else if (tt_ != nullptr)
-        violation = tt_->checkSetInvariants(tt_->setIndex(lastBlk_));
-    else if (vsc_ != nullptr)
-        violation = vsc_->checkSetInvariants(vsc_->setIndex(lastBlk_));
-    else if (dcc_ != nullptr)
-        violation = dcc_->checkSetInvariants(dcc_->setIndex(lastBlk_));
+    if (model_ == nullptr)
+        return;
+    const std::string violation =
+        model_->checkSetInvariants(model_->setIndex(lastBlk_));
     if (!violation.empty())
         fail("structural invariant violated: " + violation);
 }

@@ -20,6 +20,11 @@
  *   per-physical-way and per-set segment budgets (<= 16 per line, pair
  *   fit, pool fit), no duplicate tags.
  *
+ * Every model reaches the checker through its SetAssocLlc skeleton:
+ * checkSetInvariants() for structure, and for the mirror the
+ * baseLineAt()/baseReplStateSnapshot() pair that the uncompressed
+ * cache and the Base-Victim Baseline Cache share.
+ *
  * Checking only the accessed set per access is inductively complete:
  * an access mutates exactly one set in both caches, so if every set
  * matched before the access, re-checking the accessed set re-proves
@@ -51,11 +56,6 @@
 
 namespace bvc
 {
-
-class BaseVictimLlc;
-class TwoTagLlc;
-class VscLlc;
-class DccLlc;
 
 /**
  * True if shadow checking is requested: BVC_CHECK env set to anything
@@ -136,20 +136,15 @@ class ShadowChecker : public Llc
   private:
     void fail(const std::string &why) const;
 
-    /** Per-model structural checks on the set the access touched. */
+    /** The model's structural checks on the set the access touched. */
     void checkAccessedSet();
     void checkMirror(Addr blk, const LlcResult &got,
                      const LlcResult &want);
 
     std::unique_ptr<Llc> inner_;
     std::unique_ptr<UncompressedLlc> shadow_;
-
-    // Downcast views of inner_, resolved once at construction.
-    BaseVictimLlc *bv_ = nullptr;
-    UncompressedLlc *unc_ = nullptr;
-    TwoTagLlc *tt_ = nullptr;
-    VscLlc *vsc_ = nullptr;
-    DccLlc *dcc_ = nullptr;
+    /** inner_ as an LLC model; null for other wrappers (no checks). */
+    SetAssocLlc *model_ = nullptr;
 
     bool mirror_ = false; //!< full lockstep (inclusive BV, baseline)
     Addr lastBlk_ = 0;

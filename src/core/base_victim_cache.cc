@@ -1,33 +1,21 @@
 #include "core/base_victim_cache.hh"
 
-#include <algorithm>
-
 #include "util/logging.hh"
 
 namespace bvc
 {
 
 BaseVictimLlc::HotCounters::HotCounters(StatGroup &stats)
-    : accesses(stats.counter("accesses")),
-      demandAccesses(stats.counter("demand_accesses")),
-      writebackHits(stats.counter("writeback_hits")),
-      compressions(stats.counter("compressions")),
+    : compressions(stats.counter("compressions")),
       decompressions(stats.counter("decompressions")),
-      demandHits(stats.counter("demand_hits")),
       baseHits(stats.counter("base_hits")),
-      prefetchHits(stats.counter("prefetch_hits")),
       victimHits(stats.counter("victim_hits")),
       victimPrefetchHits(stats.counter("victim_prefetch_hits")),
       victimWriteHits(stats.counter("victim_write_hits")),
       promotions(stats.counter("promotions")),
       dataMovements(stats.counter("data_movements")),
-      demandMisses(stats.counter("demand_misses")),
-      prefetchMisses(stats.counter("prefetch_misses")),
       writebackFills(stats.counter("writeback_fills")),
       baseEvictions(stats.counter("base_evictions")),
-      memWritebacks(stats.counter("mem_writebacks")),
-      backInvalidations(stats.counter("back_invalidations")),
-      fills(stats.counter("fills")),
       victimInserts(stats.counter("victim_inserts")),
       victimInsertFailures(stats.counter("victim_insert_failures")),
       dirtyVictimEvictions(stats.counter("dirty_victim_evictions")),
@@ -38,7 +26,6 @@ BaseVictimLlc::HotCounters::HotCounters(StatGroup &stats)
           stats.counter("victim_silent_evictions_partner")),
       victimSilentWriteGrowth(
           stats.counter("victim_silent_evictions_write_growth")),
-      coherenceInvalidations(stats.counter("coherence_invalidations")),
       victimCoherenceInvalidations(
           stats.counter("victim_coherence_invalidations"))
 {
@@ -60,27 +47,17 @@ BaseVictimLlc::BaseVictimLlc(std::size_t sizeBytes, std::size_t physWays,
                              VictimReplKind victimRepl,
                              const Compressor &comp, bool inclusive,
                              unsigned segmentQuantumBytes)
-    : Llc("llc"),
-      sets_(cacheSetCount(sizeBytes, physWays, "Base-Victim LLC")),
-      ways_(physWays),
-      base_(sets_, physWays),
-      victim_(sets_, physWays),
+    : SetAssocLlc("Base-Victim LLC", sizeBytes, physWays, physWays,
+                  baseRepl, kLineShift, inclusive),
+      victim_(numSets(), physWays),
+      victimRepl_(makeVictimReplacement(victimRepl, numSets(), physWays)),
       comp_(comp),
-      inclusive_(inclusive),
       quantumSegments_(segmentQuantumBytes / kSegmentBytes),
       ctr_(stats_)
 {
     panicIf(quantumSegments_ == 0 ||
                 kSegmentsPerLine % quantumSegments_ != 0,
             "segment quantum must divide the line size");
-    baseRepl_ = makeReplacement(baseRepl, sets_, ways_);
-    victimRepl_ = makeVictimReplacement(victimRepl, sets_, ways_);
-}
-
-SetIdx
-BaseVictimLlc::setIndex(Addr blk) const
-{
-    return SetIdx{(blk >> kLineShift) & (sets_ - 1)};
 }
 
 SegCount
@@ -93,16 +70,6 @@ BaseVictimLlc::quantizedSegments(const std::uint8_t *data) const
                     quantumSegments_ * quantumSegments_};
 }
 
-WayIdx
-BaseVictimLlc::chooseBaseWay(SetIdx set)
-{
-    // Must match UncompressedLlc exactly: invalid way first, then the
-    // policy's victim (this is what makes the mirror invariant hold).
-    if (const std::optional<WayIdx> w = base_.firstInvalid(set))
-        return *w;
-    return baseRepl_->victim(set);
-}
-
 void
 BaseVictimLlc::silentEvictVictim(SetIdx set, WayIdx way,
                                  VictimEvictReason reason,
@@ -111,14 +78,13 @@ BaseVictimLlc::silentEvictVictim(SetIdx set, WayIdx way,
     if (!victim_.valid(set, way))
         return;
     const bool wasDirty = victim_.dirty(set, way);
-    if (inclusive_) {
+    if (inclusive()) {
         panicIf(wasDirty,
                 "Base-Victim: dirty line in the inclusive Victim Cache");
     } else if (wasDirty) {
         // Non-inclusive mode keeps dirty victims (Section IV.B.3);
         // dropping one costs a memory writeback.
-        result.memWritebacks.push_back(victim_.tag(set, way));
-        ++ctr_.memWritebacks;
+        writeBack(victim_.tag(set, way), result);
         ++ctr_.dirtyVictimEvictions;
     }
     victim_.invalidate(set, way);
@@ -134,9 +100,9 @@ BaseVictimLlc::tryInsertVictim(SetIdx set, const CacheLine &line,
     // into a member buffer so a Baseline eviction does not allocate.
     std::vector<VictimCandidate> &candidates = candidateScratch_;
     candidates.clear();
-    for (const WayIdx w : indexRange<WayIdx>(ways_)) {
-        const SegCount baseSegs = base_.valid(set, w)
-                                      ? base_.segments(set, w)
+    for (const WayIdx w : indexRange<WayIdx>(numWays())) {
+        const SegCount baseSegs = tags_.valid(set, w)
+                                      ? tags_.segments(set, w)
                                       : kZeroLineSegments;
         if (baseSegs + line.segments > kFullLineSegments)
             continue;
@@ -156,7 +122,7 @@ BaseVictimLlc::tryInsertVictim(SetIdx set, const CacheLine &line,
     silentEvictVictim(set, way, VictimEvictReason::Displaced, result);
 
     CacheLine parked = line;
-    if (inclusive_)
+    if (inclusive())
         parked.dirty = false; // written back on insertion (Section IV.A)
     victim_.install(set, way, parked);
     victimRepl_->onInsert(set, way);
@@ -171,22 +137,15 @@ void
 BaseVictimLlc::installBase(SetIdx set, WayIdx way,
                            const CacheLine &incoming, LlcResult &result)
 {
-    CacheLine replaced = base_.line(set, way);
+    CacheLine replaced = tags_.line(set, way);
 
+    // An inclusive cache writes a dirty replaced line back so that the
+    // Victim Cache only ever holds clean lines (Sec IV.A), and the line
+    // leaves the baseline content whether it is evicted or parked.
     if (replaced.valid) {
         ++ctr_.baseEvictions;
-        if (inclusive_) {
-            if (replaced.dirty) {
-                // Write the dirty victim back to memory so that the
-                // Victim Cache only ever holds clean lines (Sec IV.A).
-                result.memWritebacks.push_back(replaced.tag);
-                ++ctr_.memWritebacks;
-            }
-            // The line leaves the baseline content: upper levels must
-            // drop their copies whether it is evicted or parked.
-            result.backInvalidations.push_back(replaced.tag);
-            ++ctr_.backInvalidations;
-        }
+        if (inclusive())
+            drop(replaced.tag, replaced.dirty, result);
     }
 
     // Displace the victim partner if the incoming line no longer fits
@@ -197,18 +156,15 @@ BaseVictimLlc::installBase(SetIdx set, WayIdx way,
         silentEvictVictim(set, way, VictimEvictReason::Partner, result);
     }
 
-    base_.install(set, way, incoming);
-    baseRepl_->onFill(set, way);
-    ++ctr_.fills;
+    fillLine(set, way, incoming);
 
     if (replaced.valid) {
-        if (inclusive_)
+        if (inclusive())
             replaced.dirty = false; // written back above if dirty
         const bool parked = tryInsertVictim(set, replaced, result);
-        if (!parked && !inclusive_ && replaced.dirty) {
+        if (!parked && !inclusive() && replaced.dirty) {
             // Non-inclusive: a dropped dirty victim must reach memory.
-            result.memWritebacks.push_back(replaced.tag);
-            ++ctr_.memWritebacks;
+            writeBack(replaced.tag, result);
         }
     }
 }
@@ -218,86 +174,69 @@ BaseVictimLlc::access(Addr blk, AccessType type, const std::uint8_t *data)
 {
     LlcResult result;
     const SetIdx set = setIndex(blk);
-    const bool demand = type == AccessType::Read;
-
-    ++ctr_.accesses;
-    if (demand)
-        ++ctr_.demandAccesses;
+    countAccess(type);
 
     // Doubled tags cost one extra lookup cycle on every access (Sec V).
     result.extraLatency = 1;
 
     // --- Hit in the Baseline Cache (Sections IV.B.4 / IV.B.5) ---
-    if (const std::optional<WayIdx> bway = findBase(set, blk)) {
+    if (const std::optional<WayIdx> bway = tags_.find(set, blk)) {
         result.hit = true;
+        hitWay(set, *bway, type);
+        if (type == AccessType::Read)
+            ++ctr_.baseHits;
         // A writeback overwrites the whole line, so the stored copy is
         // never decompressed: no latency charge, no counter bump.
         if (type != AccessType::Writeback) {
-            const SegCount storedSegs = base_.segments(set, *bway);
+            const SegCount storedSegs = tags_.segments(set, *bway);
             result.extraLatency +=
                 decompressLatencyFor(comp_, storedSegs);
             if (needsDecompression(storedSegs))
                 ++ctr_.decompressions;
+            return result;
         }
 
-        if (type == AccessType::Writeback) {
-            ++ctr_.writebackHits;
-            base_.setDirty(set, *bway, true);
-            const SegCount newSegs = quantizedSegments(data);
-            ++ctr_.compressions;
-            if (victim_.valid(set, *bway) &&
-                newSegs + victim_.segments(set, *bway) >
-                    kFullLineSegments) {
-                // Write hit grows the base line: silently evict the
-                // victim partner even if it was recently used (IV.B.5).
-                silentEvictVictim(set, *bway,
-                                  VictimEvictReason::WriteGrowth, result);
-            }
-            base_.setSegments(set, *bway, newSegs);
-        } else if (demand) {
-            ++ctr_.demandHits;
-            ++ctr_.baseHits;
-            baseRepl_->onHit(set, *bway);
-        } else {
-            ++ctr_.prefetchHits;
+        const SegCount newSegs = quantizedSegments(data);
+        ++ctr_.compressions;
+        if (victim_.valid(set, *bway) &&
+            newSegs + victim_.segments(set, *bway) > kFullLineSegments) {
+            // Write hit grows the base line: silently evict the victim
+            // partner even if it was recently used (IV.B.5).
+            silentEvictVictim(set, *bway, VictimEvictReason::WriteGrowth,
+                              result);
         }
+        tags_.setSegments(set, *bway, newSegs);
         return result;
     }
 
     // --- Hit in the Victim Cache (Sections IV.B.2 / IV.B.3) ---
-    if (const std::optional<WayIdx> vway = findVictim(set, blk)) {
-        panicIf(type == AccessType::Writeback && inclusive_,
+    if (const std::optional<WayIdx> vway = victim_.find(set, blk)) {
+        panicIf(type == AccessType::Writeback && inclusive(),
                 "Base-Victim: writeback hit the Victim Cache "
                 "(impossible for inclusive hierarchies, Section IV.B.3)");
         result.hit = true;
         result.victimHit = true;
-        if (demand) {
-            ++ctr_.demandHits;
+        countHit(type);
+        if (type == AccessType::Read)
             ++ctr_.victimHits;
-        } else if (type == AccessType::Prefetch) {
-            ++ctr_.prefetchHits;
-            ++ctr_.victimPrefetchHits;
-        } else {
-            ++ctr_.writebackHits;
+        else if (type == AccessType::Writeback)
             ++ctr_.victimWriteHits;
-        }
+        else
+            ++ctr_.victimPrefetchHits;
 
         CacheLine promoted = victim_.line(set, *vway);
-        // Writebacks overwrite the whole line; only reads/prefetches
-        // decompress the stored victim copy.
-        if (type != AccessType::Writeback) {
-            result.extraLatency +=
-                decompressLatencyFor(comp_, promoted.segments);
-            if (needsDecompression(promoted.segments))
-                ++ctr_.decompressions;
-        }
-
         if (type == AccessType::Writeback) {
             // Non-inclusive write hit (Section IV.B.3): the rewritten
             // line is recompressed, then promoted like a read hit.
             promoted.dirty = true;
             promoted.segments = quantizedSegments(data);
             ++ctr_.compressions;
+        } else {
+            // Only reads and prefetches decompress the stored copy.
+            result.extraLatency +=
+                decompressLatencyFor(comp_, promoted.segments);
+            if (needsDecompression(promoted.segments))
+                ++ctr_.decompressions;
         }
 
         // De-allocate from the Victim Cache, then install into the
@@ -310,29 +249,22 @@ BaseVictimLlc::access(Addr blk, AccessType type, const std::uint8_t *data)
         ++ctr_.promotions;
         ctr_.dataMovements += 1;
 
-        installBase(set, chooseBaseWay(set), promoted, result);
+        installBase(set, fillWay(set), promoted, result);
         return result;
     }
 
     // --- Miss (Section IV.B.1) ---
-    if (type == AccessType::Writeback && inclusive_)
-        panic("Base-Victim: writeback miss violates inclusion");
-
-    if (demand)
-        ++ctr_.demandMisses;
-    else if (type == AccessType::Prefetch)
-        ++ctr_.prefetchMisses;
+    if (type == AccessType::Writeback && !inclusive())
+        ++ctr_.writebackFills;
     else
-        ++ctr_.writebackFills; // non-inclusive only
+        countMiss(type);
 
-    CacheLine incoming;
-    incoming.tag = blk;
-    incoming.valid = true;
-    incoming.dirty = type == AccessType::Writeback;
-    incoming.segments = quantizedSegments(data);
+    const CacheLine incoming{.tag = blk,
+                             .valid = true,
+                             .dirty = type == AccessType::Writeback,
+                             .segments = quantizedSegments(data)};
     ++ctr_.compressions;
-
-    installBase(set, chooseBaseWay(set), incoming, result);
+    installBase(set, fillWay(set), incoming, result);
     return result;
 }
 
@@ -342,33 +274,22 @@ BaseVictimLlc::coherenceInvalidate(Addr blk)
     LlcResult result;
     const SetIdx set = setIndex(blk);
 
-    if (const std::optional<WayIdx> bway = findBase(set, blk)) {
-        // Baseline copy: drop it exactly as the uncompressed reference
-        // does, so the mirror and replacement state stay in lockstep.
-        if (base_.dirty(set, *bway)) {
-            result.memWritebacks.push_back(blk);
-            ++ctr_.memWritebacks;
-        }
-        result.backInvalidations.push_back(blk);
-        ++ctr_.backInvalidations;
-        base_.invalidate(set, *bway);
-        baseRepl_->onInvalidate(set, *bway);
-        ++ctr_.coherenceInvalidations;
+    // A baseline copy drops exactly as in the uncompressed reference,
+    // so the mirror and replacement state stay in lockstep.
+    if (snoop(set, blk, result))
         return result;
-    }
 
-    if (const std::optional<WayIdx> vway = findVictim(set, blk)) {
+    if (const std::optional<WayIdx> vway = victim_.find(set, blk)) {
         // Victim copies are opportunistic extras the baseline never
         // held: upper levels cannot cache them (no back-invalidation)
         // and inclusive victims are clean (no writeback) — the drop is
         // silent, so the hit rate stays >= the baseline's.
-        if (!inclusive_ && victim_.dirty(set, *vway)) {
-            result.memWritebacks.push_back(blk);
-            ++ctr_.memWritebacks;
+        if (!inclusive() && victim_.dirty(set, *vway)) {
+            writeBack(blk, result);
             ++ctr_.dirtyVictimEvictions;
         }
         victim_.invalidate(set, *vway);
-        ++ctr_.coherenceInvalidations;
+        ++common_.coherenceInvalidations;
         ++ctr_.victimCoherenceInvalidations;
     }
     return result;
@@ -378,92 +299,49 @@ bool
 BaseVictimLlc::probe(Addr blk) const
 {
     const SetIdx set = setIndex(blk);
-    return findBase(set, blk).has_value() ||
-        findVictim(set, blk).has_value();
-}
-
-bool
-BaseVictimLlc::probeBase(Addr blk) const
-{
-    return findBase(setIndex(blk), blk).has_value();
+    return tags_.find(set, blk).has_value() ||
+        victim_.find(set, blk).has_value();
 }
 
 bool
 BaseVictimLlc::probeVictim(Addr blk) const
 {
-    return findVictim(setIndex(blk), blk).has_value();
-}
-
-void
-BaseVictimLlc::downgradeHint(Addr blk)
-{
-    const SetIdx set = setIndex(blk);
-    if (const std::optional<WayIdx> way = findBase(set, blk))
-        baseRepl_->downgradeHint(set, *way);
+    return victim_.find(setIndex(blk), blk).has_value();
 }
 
 std::size_t
 BaseVictimLlc::validLines() const
 {
-    return base_.validCount() + victim_.validCount();
-}
-
-std::vector<Addr>
-BaseVictimLlc::baseSetContents(SetIdx set) const
-{
-    std::vector<Addr> contents;
-    for (const WayIdx w : indexRange<WayIdx>(ways_)) {
-        if (base_.valid(set, w))
-            contents.push_back(base_.tag(set, w));
-    }
-    std::sort(contents.begin(), contents.end());
-    return contents;
+    return tags_.validCount() + victim_.validCount();
 }
 
 std::string
 BaseVictimLlc::checkSetInvariants(SetIdx set) const
 {
-    for (const WayIdx w : indexRange<WayIdx>(ways_)) {
-        const CacheLine base = base_.line(set, w);
+    std::string violation = SetAssocLlc::checkSetInvariants(set);
+    if (violation.empty())
+        violation = segmentBound(victim_, set, "victim line");
+    if (!violation.empty())
+        return violation;
+    for (const WayIdx w : indexRange<WayIdx>(numWays())) {
         const CacheLine vict = victim_.line(set, w);
-        if (base.valid && base.segments > kFullLineSegments)
-            return "base line exceeds 16 segments in way " +
-                std::to_string(w.get());
         if (!vict.valid)
             continue;
-        if (vict.segments > kFullLineSegments)
-            return "victim line exceeds 16 segments in way " +
-                std::to_string(w.get());
-        if (inclusive_ && vict.dirty)
+        if (inclusive() && vict.dirty)
             return "dirty victim line in the inclusive Victim Cache "
                    "(way " + std::to_string(w.get()) + ")";
+        const CacheLine base = tags_.line(set, w);
         if (base.valid &&
             base.segments + vict.segments > kFullLineSegments) {
             return "pair-fit violated in way " + std::to_string(w.get()) +
                 ": " + std::to_string(base.segments.get()) + " + " +
                 std::to_string(vict.segments.get()) + " segments";
         }
-        if (findBase(set, vict.tag).has_value())
+        if (tags_.find(set, vict.tag).has_value())
             return "tag in both B and V sections (way " +
                 std::to_string(w.get()) + ")";
-        for (WayIdx other{w.get() + 1}; other.get() < ways_; ++other) {
-            const CacheLine dup = victim_.line(set, other);
-            if (dup.valid && dup.tag == vict.tag)
-                return "duplicate tag in the Victim Cache (ways " +
-                    std::to_string(w.get()) + " and " +
-                    std::to_string(other.get()) + ")";
-        }
     }
-    return {};
-}
-
-bool
-BaseVictimLlc::checkInvariants() const
-{
-    for (const SetIdx set : indexRange<SetIdx>(sets_))
-        if (!checkSetInvariants(set).empty())
-            return false;
-    return true;
+    return duplicateTag(victim_, set, "the Victim Cache");
 }
 
 } // namespace bvc

@@ -23,20 +23,17 @@
 #ifndef BVC_CORE_BASE_VICTIM_CACHE_HH_
 #define BVC_CORE_BASE_VICTIM_CACHE_HH_
 
-#include <memory>
-#include <optional>
-
-#include "cache/cache_line.hh"
-#include "cache/tag_array.hh"
-#include "core/llc_interface.hh"
+#include "core/set_assoc_llc.hh"
 #include "core/victim_replacement.hh"
-#include "replacement/factory.hh"
 
 namespace bvc
 {
 
-/** Base-Victim opportunistic compressed LLC. */
-class BaseVictimLlc : public Llc
+/**
+ * Base-Victim opportunistic compressed LLC. The skeleton's array and
+ * policy are the Baseline Cache; this class adds the Victim Cache.
+ */
+class BaseVictimLlc : public SetAssocLlc
 {
   public:
     /**
@@ -64,8 +61,6 @@ class BaseVictimLlc : public Llc
     LlcResult access(Addr blk, AccessType type,
                      const std::uint8_t *data) override;
     [[nodiscard]] bool probe(Addr blk) const override;
-    [[nodiscard]] bool probeBase(Addr blk) const override;
-    void downgradeHint(Addr blk) override;
     /**
      * Snoop invalidation. A base copy drops exactly as the uncompressed
      * cache would (writeback if dirty, back-invalidation, replacement
@@ -81,36 +76,21 @@ class BaseVictimLlc : public Llc
     {
         return "BaseVictim";
     }
-
-    [[nodiscard]] std::size_t numSets() const { return sets_; }
-    [[nodiscard]] std::size_t numWays() const { return ways_; }
-    [[nodiscard]] SetIdx setIndex(Addr blk) const;
+    /** Only the inclusive Baseline Cache mirrors (Section IV.B.3). */
+    [[nodiscard]] bool mirrorsBaseline() const override
+    {
+        return inclusive();
+    }
 
     /** True if `blk` currently resides in the Victim Cache section. */
     [[nodiscard]] bool probeVictim(Addr blk) const;
 
-    /** Sorted valid base-line addresses of a set (mirror test). */
-    [[nodiscard]] std::vector<Addr> baseSetContents(SetIdx set) const;
-
-    /** Invariant: every victim line is clean and pair-fit holds. */
-    [[nodiscard]] bool checkInvariants() const;
-
     /**
      * Structural invariants of one set (Section IV.A): clean-only
      * victims when inclusive, pair-fit <= 16 segments per physical
-     * way, no line in both sections. Empty string when they hold,
-     * otherwise a description of the first violation.
+     * way, no line in both sections, no tag twice in either.
      */
-    [[nodiscard]] std::string checkSetInvariants(SetIdx set) const;
-
-    /** True in the paper's inclusive configuration (Section IV.B.3). */
-    [[nodiscard]] bool inclusive() const { return inclusive_; }
-
-    /** Baseline-Cache line by value (lockstep mirror check). */
-    [[nodiscard]] CacheLine baseLineAt(SetIdx set, WayIdx way) const
-    {
-        return base_.line(set, way);
-    }
+    [[nodiscard]] std::string checkSetInvariants(SetIdx set) const override;
 
     /** Victim-Cache line by value (structural checks, tests). */
     [[nodiscard]] CacheLine victimLineAt(SetIdx set, WayIdx way) const
@@ -133,13 +113,6 @@ class BaseVictimLlc : public Llc
             victim_.invalidate(set, way);
     }
 
-    /** Baseline replacement state words for `set` (lockstep check). */
-    [[nodiscard]] std::vector<std::uint64_t>
-    baseReplStateSnapshot(SetIdx set) const
-    {
-        return baseRepl_->stateSnapshot(set);
-    }
-
   private:
     /** Why a victim line is silently dropped (per-reason counters). */
     enum class VictimEvictReason
@@ -150,7 +123,7 @@ class BaseVictimLlc : public Llc
     };
 
     /**
-     * Counter references resolved once at construction so the
+     * Base-Victim's own counters, resolved once at construction so the
      * per-access paths never do string-keyed map lookups (the worst
      * offender was a per-eviction string concatenation for the
      * victim_silent_evictions_<reason> counters).
@@ -159,35 +132,16 @@ class BaseVictimLlc : public Llc
     {
         explicit HotCounters(StatGroup &stats);
 
-        Counter &accesses, &demandAccesses;
-        Counter &writebackHits, &compressions, &decompressions;
-        Counter &demandHits, &baseHits, &prefetchHits;
+        Counter &compressions, &decompressions, &baseHits;
         Counter &victimHits, &victimPrefetchHits, &victimWriteHits;
-        Counter &promotions, &dataMovements;
-        Counter &demandMisses, &prefetchMisses, &writebackFills;
-        Counter &baseEvictions, &memWritebacks, &backInvalidations;
-        Counter &fills, &victimInserts, &victimInsertFailures;
+        Counter &promotions, &dataMovements, &writebackFills;
+        Counter &baseEvictions, &victimInserts, &victimInsertFailures;
         Counter &dirtyVictimEvictions, &victimSilentEvictions;
         Counter &victimSilentDisplaced, &victimSilentPartner;
-        Counter &victimSilentWriteGrowth;
-        Counter &coherenceInvalidations, &victimCoherenceInvalidations;
+        Counter &victimSilentWriteGrowth, &victimCoherenceInvalidations;
 
         Counter &silentEvictions(VictimEvictReason reason);
     };
-
-    [[nodiscard]] std::optional<WayIdx> findBase(SetIdx set,
-                                                 Addr blk) const
-    {
-        return base_.find(set, blk);
-    }
-    [[nodiscard]] std::optional<WayIdx> findVictim(SetIdx set,
-                                                   Addr blk) const
-    {
-        return victim_.find(set, blk);
-    }
-
-    /** Baseline victim way: invalid-first, then the base policy. */
-    [[nodiscard]] WayIdx chooseBaseWay(SetIdx set);
 
     /**
      * Install `incoming` into base way `way`, handling the eviction of
@@ -223,16 +177,11 @@ class BaseVictimLlc : public Llc
     [[nodiscard]] SegCount quantizedSegments(
         const std::uint8_t *data) const;
 
-    std::size_t sets_;
-    std::size_t ways_;
-    TagArray base_;   // SoA Baseline-Cache section
     TagArray victim_; // SoA Victim-Cache section
-    std::unique_ptr<ReplacementPolicy> baseRepl_;
     std::unique_ptr<VictimReplacement> victimRepl_;
     /** tryInsertVictim()'s candidate list, reused across evictions. */
     std::vector<VictimCandidate> candidateScratch_;
     const Compressor &comp_;
-    bool inclusive_;
     unsigned quantumSegments_; //!< segments per size-field step
     HotCounters ctr_;          //!< must follow stats_ initialization
 };

@@ -6,34 +6,22 @@ namespace bvc
 {
 
 DccLlc::HotCounters::HotCounters(StatGroup &stats)
-    : accesses(stats.counter("accesses")),
-      demandAccesses(stats.counter("demand_accesses")),
-      writebackHits(stats.counter("writeback_hits")),
-      demandHits(stats.counter("demand_hits")),
-      prefetchHits(stats.counter("prefetch_hits")),
-      demandMisses(stats.counter("demand_misses")),
-      prefetchMisses(stats.counter("prefetch_misses")),
-      fills(stats.counter("fills")),
-      evictions(stats.counter("evictions")),
-      memWritebacks(stats.counter("mem_writebacks")),
-      backInvalidations(stats.counter("back_invalidations")),
+    : evictions(stats.counter("evictions")),
       superblockEvictions(stats.counter("superblock_evictions")),
-      superblockFills(stats.counter("superblock_fills")),
-      coherenceInvalidations(stats.counter("coherence_invalidations"))
+      superblockFills(stats.counter("superblock_fills"))
 {
 }
 
 DccLlc::DccLlc(std::size_t sizeBytes, std::size_t physWays,
                const Compressor &comp)
-    : Llc("llc"),
-      sets_(cacheSetCount(sizeBytes, physWays, "DCC")),
-      physWays_(physWays),
-      tags_(sets_ * physWays, kInvalidTag),
-      subMeta_(sets_ * physWays * kSubBlocks, 0),
+    // Super-blocks (not lines) interleave across sets so that all four
+    // sub-blocks of a super-block land in the same set.
+    : SetAssocLlc("DCC", sizeBytes, physWays, physWays,
+                  ReplacementKind::Lru, kLineShift + 2),
+      subMeta_(numSets() * physWays * kSubBlocks, 0),
       comp_(comp),
       ctr_(stats_)
 {
-    repl_ = std::make_unique<LruPolicy>(sets_, physWays_);
 }
 
 Addr
@@ -48,45 +36,30 @@ DccLlc::subIndex(Addr blk)
     return static_cast<unsigned>((blk >> kLineShift) % kSubBlocks);
 }
 
-SetIdx
-DccLlc::setIndex(Addr blk) const
+void
+DccLlc::clearSuperBlock(SetIdx set, WayIdx way)
 {
-    // Super-blocks (not lines) interleave across sets so that all four
-    // sub-blocks of a super-block land in the same set.
-    return SetIdx{(blk >> (kLineShift + 2)) & (sets_ - 1)};
+    tags_.invalidate(set, way);
+    for (unsigned s = 0; s < kSubBlocks; ++s)
+        subMeta_[metaIndex(set, way, s)] = 0;
+    repl_->onInvalidate(set, way);
 }
 
-std::optional<WayIdx>
-DccLlc::findWay(SetIdx set, Addr blk) const
+WayIdx
+DccLlc::allocSuperBlock(SetIdx set, Addr blk)
 {
-    // Branchless last-match scan over the contiguous tag row; the
-    // sentinel makes a validity test unnecessary and the no-duplicate
-    // invariant makes last-match equivalent to only-match.
-    const Addr tag = superTag(blk);
-    const Addr *row = tags_.data() + set.get() * physWays_;
-    std::optional<WayIdx> hit;
-    for (std::size_t w = 0; w < physWays_; ++w)
-        hit = row[w] == tag ? std::optional<WayIdx>{WayIdx{
-                                  static_cast<std::uint32_t>(w)}}
-                            : hit;
-    return hit;
-}
-
-std::optional<WayIdx>
-DccLlc::freeWay(SetIdx set) const
-{
-    for (const WayIdx w : indexRange<WayIdx>(physWays_))
-        if (!sbValid(set, w))
-            return w;
-    return std::nullopt;
+    const std::optional<WayIdx> way = tags_.firstInvalid(set);
+    panicIf(!way, "DCC: no free tag after makeRoom");
+    tags_.install(set, *way, CacheLine{.tag = superTag(blk), .valid = true});
+    return *way;
 }
 
 SegCount
 DccLlc::usedSegments(SetIdx set) const
 {
     SegCount used{0};
-    for (const WayIdx w : indexRange<WayIdx>(physWays_)) {
-        if (!sbValid(set, w))
+    for (const WayIdx w : indexRange<WayIdx>(numWays())) {
+        if (!tags_.valid(set, w))
             continue;
         for (unsigned s = 0; s < kSubBlocks; ++s)
             if (present(set, w, s))
@@ -98,22 +71,15 @@ DccLlc::usedSegments(SetIdx set) const
 void
 DccLlc::evictSuperBlock(SetIdx set, WayIdx way, LlcResult &result)
 {
-    panicIf(!sbValid(set, way), "DCC: evicting invalid super-block");
-    const Addr base = sbTag(set, way);
+    panicIf(!tags_.valid(set, way), "DCC: evicting invalid super-block");
+    const Addr base = tags_.tag(set, way);
     for (unsigned s = 0; s < kSubBlocks; ++s) {
         if (!present(set, way, s))
             continue;
-        const Addr addr = base + s * kLineBytes;
-        if (subDirty(set, way, s)) {
-            result.memWritebacks.push_back(addr);
-            ++ctr_.memWritebacks;
-        }
-        result.backInvalidations.push_back(addr);
-        ++ctr_.backInvalidations;
+        drop(base + s * kLineBytes, subDirty(set, way, s), result);
         ++ctr_.evictions;
     }
     clearSuperBlock(set, way);
-    repl_->onInvalidate(set, way);
     ++ctr_.superblockEvictions;
 }
 
@@ -121,20 +87,17 @@ void
 DccLlc::makeRoom(SetIdx set, SegCount segments, bool needTag,
                  LlcResult &result)
 {
-    const SegCount capacity{physWays_ * kSegmentsPerLine};
-    bool haveTag = !needTag || freeWay(set).has_value();
-    while (usedSegments(set) + segments > capacity || !haveTag) {
-        std::optional<WayIdx> victim;
-        for (const WayIdx cand : repl_->rank(set)) {
-            if (sbValid(set, cand)) {
-                victim = cand;
-                break;
-            }
-        }
-        panicIf(!victim, "DCC: nothing left to evict");
-        evictSuperBlock(set, *victim, result);
-        haveTag = true;
-    }
+    bool haveTag = !needTag || tags_.firstInvalid(set).has_value();
+    evictOldestWhile(
+        set, std::nullopt,
+        [&] {
+            return usedSegments(set) + segments > dataSegments() ||
+                !haveTag;
+        },
+        [&](WayIdx victim) {
+            evictSuperBlock(set, victim, result);
+            haveTag = true;
+        });
 }
 
 LlcResult
@@ -142,29 +105,20 @@ DccLlc::coherenceInvalidate(Addr blk)
 {
     LlcResult result;
     const SetIdx set = setIndex(blk);
-    const std::optional<WayIdx> way = findWay(set, blk);
-    if (!way)
-        return result;
+    const std::optional<WayIdx> way = tags_.find(set, superTag(blk));
     const unsigned sub = subIndex(blk);
-    if (!present(set, *way, sub))
+    if (!way || !present(set, *way, sub))
         return result;
-    if (subDirty(set, *way, sub)) {
-        result.memWritebacks.push_back(blk);
-        ++ctr_.memWritebacks;
-    }
-    result.backInvalidations.push_back(blk);
-    ++ctr_.backInvalidations;
+    drop(blk, subDirty(set, *way, sub), result);
     setSubMeta(set, *way, sub, false, false, kZeroLineSegments);
     ++ctr_.evictions;
-    ++ctr_.coherenceInvalidations;
+    ++common_.coherenceInvalidations;
     // Free the tag when the last sub-block leaves the super-block.
     bool any = false;
     for (unsigned s = 0; s < kSubBlocks && !any; ++s)
         any = present(set, *way, s);
-    if (!any) {
+    if (!any)
         clearSuperBlock(set, *way);
-        repl_->onInvalidate(set, *way);
-    }
     return result;
 }
 
@@ -174,67 +128,49 @@ DccLlc::access(Addr blk, AccessType type, const std::uint8_t *data)
     LlcResult result;
     const SetIdx set = setIndex(blk);
     const unsigned sub = subIndex(blk);
-    const bool demand = type == AccessType::Read;
+    countAccess(type);
 
-    ++ctr_.accesses;
-    if (demand)
-        ++ctr_.demandAccesses;
-
-    std::optional<WayIdx> way = findWay(set, blk);
+    std::optional<WayIdx> way = tags_.find(set, superTag(blk));
     if (way && present(set, *way, sub)) {
         // Sub-block hit.
         result.hit = true;
-        if (type == AccessType::Writeback) {
-            ++ctr_.writebackHits;
-            const SegCount newSegs = compressedSegmentsFor(comp_, data);
-            // Growth may overflow the pool; DCC frees other
-            // super-blocks (no re-compaction needed: indirection).
-            setSubMeta(set, *way, sub, true, true, SegCount{0});
-            makeRoom(set, newSegs, false, result);
-            // The accessed super-block may itself have been evicted
-            // while making room; re-locate it.
-            way = findWay(set, blk);
-            if (!way) {
-                // Extremely tight set: reinstall just this sub-block.
-                makeRoom(set, newSegs, true, result);
-                way = freeWay(set);
-                tags_[tagIndex(set, *way)] = superTag(blk);
-                repl_->onFill(set, *way);
-            }
-            setSubMeta(set, *way, sub, true, true, newSegs);
-        } else if (demand) {
-            ++ctr_.demandHits;
+        countHit(type);
+        if (type == AccessType::Read)
             repl_->onHit(set, *way);
-        } else {
-            ++ctr_.prefetchHits;
+        if (type != AccessType::Writeback)
+            return result;
+
+        const SegCount newSegs = compressedSegmentsFor(comp_, data);
+        // Growth may overflow the pool; DCC frees other super-blocks
+        // (no re-compaction needed: indirection).
+        setSubMeta(set, *way, sub, true, true, SegCount{0});
+        makeRoom(set, newSegs, false, result);
+        // The accessed super-block may itself have been evicted while
+        // making room; re-locate it.
+        way = tags_.find(set, superTag(blk));
+        if (!way) {
+            // Extremely tight set: reinstall just this sub-block.
+            makeRoom(set, newSegs, true, result);
+            way = allocSuperBlock(set, blk);
+            repl_->onFill(set, *way);
         }
+        setSubMeta(set, *way, sub, true, true, newSegs);
         return result;
     }
 
-    if (type == AccessType::Writeback)
-        panic("DccLlc: writeback miss violates inclusion");
-
-    if (demand)
-        ++ctr_.demandMisses;
-    else
-        ++ctr_.prefetchMisses;
-
+    countMiss(type);
     const SegCount segments = compressedSegmentsFor(comp_, data);
-    const bool needTag = !way.has_value();
-    makeRoom(set, segments, needTag, result);
+    makeRoom(set, segments, !way.has_value(), result);
     // makeRoom may have evicted the super-block we matched earlier.
-    way = findWay(set, blk);
-
+    way = tags_.find(set, superTag(blk));
     if (!way) {
-        way = freeWay(set);
-        panicIf(!way, "DCC: no free tag after makeRoom");
-        tags_[tagIndex(set, *way)] = superTag(blk);
+        way = allocSuperBlock(set, blk);
         ++ctr_.superblockFills;
     }
 
     setSubMeta(set, *way, sub, true, false, segments);
     repl_->onFill(set, *way);
-    ++ctr_.fills;
+    ++common_.fills;
     return result;
 }
 
@@ -242,7 +178,7 @@ bool
 DccLlc::probe(Addr blk) const
 {
     const SetIdx set = setIndex(blk);
-    const std::optional<WayIdx> way = findWay(set, blk);
+    const std::optional<WayIdx> way = tags_.find(set, superTag(blk));
     return way && present(set, *way, subIndex(blk));
 }
 
@@ -258,34 +194,22 @@ DccLlc::validLines() const
 std::string
 DccLlc::checkSetInvariants(SetIdx set) const
 {
-    const SegCount capacity{physWays_ * kSegmentsPerLine};
-    if (usedSegments(set) > capacity)
-        return "segment pool over budget: " +
-            std::to_string(usedSegments(set).get()) + " > " +
-            std::to_string(capacity.get());
-    for (const WayIdx w : indexRange<WayIdx>(physWays_)) {
-        if (!sbValid(set, w)) {
-            for (unsigned s = 0; s < kSubBlocks; ++s)
-                if (present(set, w, s))
-                    return "present sub-block under an invalid tag "
-                           "(way " + std::to_string(w.get()) + ")";
-            continue;
-        }
-        for (unsigned s = 0; s < kSubBlocks; ++s)
-            if (present(set, w, s) &&
-                subSegments(set, w, s) > kFullLineSegments)
+    const std::string violation = poolOverBudget(usedSegments(set));
+    if (!violation.empty())
+        return violation;
+    for (const WayIdx w : indexRange<WayIdx>(numWays())) {
+        for (unsigned s = 0; s < kSubBlocks; ++s) {
+            if (!present(set, w, s))
+                continue;
+            if (!tags_.valid(set, w))
+                return "present sub-block under an invalid tag (way " +
+                    std::to_string(w.get()) + ")";
+            if (subSegments(set, w, s) > kFullLineSegments)
                 return "sub-block exceeds 16 segments (way " +
                     std::to_string(w.get()) + ")";
-        for (WayIdx other{w.get() + 1}; other.get() < physWays_;
-             ++other) {
-            if (sbValid(set, other) &&
-                sbTag(set, other) == sbTag(set, w))
-                return "duplicate super-block tag in ways " +
-                    std::to_string(w.get()) + " and " +
-                    std::to_string(other.get());
         }
     }
-    return {};
+    return duplicateTag(tags_, set, "the super-block tags");
 }
 
 } // namespace bvc

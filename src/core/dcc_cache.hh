@@ -14,18 +14,17 @@
 #ifndef BVC_CORE_DCC_CACHE_HH_
 #define BVC_CORE_DCC_CACHE_HH_
 
-#include <memory>
-#include <optional>
-
-#include "cache/tag_array.hh"
-#include "core/llc_interface.hh"
-#include "replacement/lru.hh"
+#include "core/set_assoc_llc.hh"
 
 namespace bvc
 {
 
-/** Functional DCC capacity model with 4-line super-blocks. */
-class DccLlc : public Llc
+/**
+ * Functional DCC capacity model with 4-line super-blocks. The
+ * skeleton's array holds the super-block tags; a parallel array holds
+ * each sub-block's presence, dirty bit and compressed size.
+ */
+class DccLlc : public SetAssocLlc
 {
   public:
     /** Lines per super-block (DCC's default). */
@@ -47,6 +46,8 @@ class DccLlc : public Llc
     {
         return probe(blk);
     }
+    /** The super-block LRU takes no hints. */
+    void downgradeHint(Addr) override {}
     /**
      * Snoop invalidation at line granularity: clears only the one
      * sub-block's presence; the super-block tag is freed when its last
@@ -56,47 +57,21 @@ class DccLlc : public Llc
     [[nodiscard]] std::size_t validLines() const override;
     [[nodiscard]] std::string name() const override { return "DCC"; }
 
-    [[nodiscard]] std::size_t numSets() const { return sets_; }
     /** Segments used in one set (must stay within the pool). */
     [[nodiscard]] SegCount usedSegments(SetIdx set) const;
-    /** Set index for a block address (tests). */
-    [[nodiscard]] SetIdx setIndex(Addr blk) const;
 
     /**
      * Structural invariants of one set: segment pool within the
      * physWays*16 budget, per-sub-block segments <= 16, no duplicate
-     * super-block tags, presence bits only under valid tags. Empty
-     * string when they hold, otherwise the first violation.
+     * super-block tags, presence bits only under valid tags.
      */
-    [[nodiscard]] std::string checkSetInvariants(SetIdx set) const;
+    [[nodiscard]] std::string checkSetInvariants(SetIdx set) const override;
 
   private:
-    /**
-     * Sentinel stored in tags_ for an invalid super-block slot. Real
-     * super-block tags are 256B-aligned addresses and can never equal
-     * it, so findWay scans the contiguous tag row with no valid bit.
-     */
-    static constexpr Addr kInvalidTag = ~Addr{0};
-
-    [[nodiscard]] std::size_t tagIndex(SetIdx set, WayIdx way) const
-    {
-        return set.get() * physWays_ + way.get();
-    }
-
     [[nodiscard]] std::size_t metaIndex(SetIdx set, WayIdx way,
                                         unsigned sub) const
     {
-        return tagIndex(set, way) * kSubBlocks + sub;
-    }
-
-    [[nodiscard]] bool sbValid(SetIdx set, WayIdx way) const
-    {
-        return tags_[tagIndex(set, way)] != kInvalidTag;
-    }
-
-    [[nodiscard]] Addr sbTag(SetIdx set, WayIdx way) const
-    {
-        return tags_[tagIndex(set, way)];
+        return (set.get() * numWays() + way.get()) * kSubBlocks + sub;
     }
 
     [[nodiscard]] bool present(SetIdx set, WayIdx way,
@@ -124,19 +99,14 @@ class DccLlc : public Llc
             linemeta::pack(isPresent, isDirty, segments);
     }
 
-    /** Clear one super-block slot: sentinel tag, all sub-meta zero. */
-    void clearSuperBlock(SetIdx set, WayIdx way)
-    {
-        tags_[tagIndex(set, way)] = kInvalidTag;
-        for (unsigned s = 0; s < kSubBlocks; ++s)
-            subMeta_[metaIndex(set, way, s)] = 0;
-    }
+    /** Free one super-block slot: tag, policy state, sub-block meta. */
+    void clearSuperBlock(SetIdx set, WayIdx way);
+
+    /** Install the super-block tag of `blk` in a free way of `set`. */
+    WayIdx allocSuperBlock(SetIdx set, Addr blk);
 
     [[nodiscard]] static Addr superTag(Addr blk);
     [[nodiscard]] static unsigned subIndex(Addr blk);
-
-    [[nodiscard]] std::optional<WayIdx> findWay(SetIdx set,
-                                                Addr blk) const;
 
     /** Drop one whole super-block (LRU), reporting its sub-blocks. */
     void evictSuperBlock(SetIdx set, WayIdx way, LlcResult &result);
@@ -145,27 +115,15 @@ class DccLlc : public Llc
     void makeRoom(SetIdx set, SegCount segments, bool needTag,
                   LlcResult &result);
 
-    /** First invalid super-block tag of `set`, if any. */
-    [[nodiscard]] std::optional<WayIdx> freeWay(SetIdx set) const;
-
-    /** Per-access counters resolved once (no string lookups per hit). */
+    /** DCC counters beyond the skeleton's, resolved once. */
     struct HotCounters
     {
         explicit HotCounters(StatGroup &stats);
 
-        Counter &accesses, &demandAccesses;
-        Counter &writebackHits, &demandHits, &prefetchHits;
-        Counter &demandMisses, &prefetchMisses, &fills;
-        Counter &evictions, &memWritebacks, &backInvalidations;
-        Counter &superblockEvictions, &superblockFills;
-        Counter &coherenceInvalidations;
+        Counter &evictions, &superblockEvictions, &superblockFills;
     };
 
-    std::size_t sets_;
-    std::size_t physWays_;
-    std::vector<Addr> tags_;            // SoA: super-block tags
     std::vector<std::uint8_t> subMeta_; // packed per-sub-block metadata
-    std::unique_ptr<LruPolicy> repl_;   //!< super-block granularity
     const Compressor &comp_;
     HotCounters ctr_;
 };

@@ -6,49 +6,21 @@ namespace bvc
 {
 
 TwoTagLlc::HotCounters::HotCounters(StatGroup &stats)
-    : accesses(stats.counter("accesses")),
-      demandAccesses(stats.counter("demand_accesses")),
-      writebackHits(stats.counter("writeback_hits")),
-      compressions(stats.counter("compressions")),
+    : compressions(stats.counter("compressions")),
       decompressions(stats.counter("decompressions")),
-      demandHits(stats.counter("demand_hits")),
-      prefetchHits(stats.counter("prefetch_hits")),
-      demandMisses(stats.counter("demand_misses")),
-      prefetchMisses(stats.counter("prefetch_misses")),
-      fills(stats.counter("fills")),
       evictions(stats.counter("evictions")),
-      memWritebacks(stats.counter("mem_writebacks")),
-      backInvalidations(stats.counter("back_invalidations")),
       partnerEvictionsOnWrite(
           stats.counter("partner_evictions_on_write")),
-      partnerEvictionsOnFill(stats.counter("partner_evictions_on_fill")),
-      coherenceInvalidations(stats.counter("coherence_invalidations"))
+      partnerEvictionsOnFill(stats.counter("partner_evictions_on_fill"))
 {
 }
 
-TwoTagLlc::TwoTagLlc(std::string statName, std::size_t sizeBytes,
-                     std::size_t physWays, ReplacementKind repl,
-                     const Compressor &comp)
-    : Llc(std::move(statName)),
-      sets_(cacheSetCount(sizeBytes, physWays, "two-tag LLC")),
-      physWays_(physWays),
-      tags_(sets_, physWays * 2),
+TwoTagLlc::TwoTagLlc(std::size_t sizeBytes, std::size_t physWays,
+                     ReplacementKind repl, const Compressor &comp)
+    : SetAssocLlc("two-tag LLC", sizeBytes, physWays, physWays * 2, repl),
       comp_(comp),
       ctr_(stats_)
 {
-    repl_ = makeReplacement(repl, sets_, numSlots());
-}
-
-SetIdx
-TwoTagLlc::setIndex(Addr blk) const
-{
-    return SetIdx{(blk >> kLineShift) & (sets_ - 1)};
-}
-
-std::optional<WayIdx>
-TwoTagLlc::findSlot(SetIdx set, Addr blk) const
-{
-    return tags_.find(set, blk);
 }
 
 bool
@@ -63,17 +35,8 @@ TwoTagLlc::fits(SetIdx set, WayIdx s, SegCount segments) const
 void
 TwoTagLlc::evictSlot(SetIdx set, WayIdx s, LlcResult &result)
 {
-    panicIf(!tags_.valid(set, s), "TwoTagLlc: evicting invalid slot");
-    const Addr victimTag = tags_.tag(set, s);
     ++ctr_.evictions;
-    if (tags_.dirty(set, s)) {
-        result.memWritebacks.push_back(victimTag);
-        ++ctr_.memWritebacks;
-    }
-    result.backInvalidations.push_back(victimTag);
-    ++ctr_.backInvalidations;
-    tags_.invalidate(set, s);
-    repl_->onInvalidate(set, s);
+    dropWay(set, s, result);
 }
 
 LlcResult
@@ -81,18 +44,14 @@ TwoTagLlc::access(Addr blk, AccessType type, const std::uint8_t *data)
 {
     LlcResult result;
     const SetIdx set = setIndex(blk);
-    const std::optional<WayIdx> s = findSlot(set, blk);
-    const bool demand = type == AccessType::Read;
-
-    ++ctr_.accesses;
-    if (demand)
-        ++ctr_.demandAccesses;
+    countAccess(type);
 
     // Doubled tags cost one extra lookup cycle on every access (Sec V).
     result.extraLatency = 1;
 
-    if (s) {
+    if (const std::optional<WayIdx> s = tags_.find(set, blk)) {
         result.hit = true;
+        hitWay(set, *s, type);
         const SegCount storedSegs = tags_.segments(set, *s);
         // A writeback overwrites the whole line, so the stored copy is
         // never decompressed: no latency charge, no counter bump.
@@ -101,38 +60,23 @@ TwoTagLlc::access(Addr blk, AccessType type, const std::uint8_t *data)
                 decompressLatencyFor(comp_, storedSegs);
             if (needsDecompression(storedSegs))
                 ++ctr_.decompressions;
+            return result;
         }
 
-        if (type == AccessType::Writeback) {
-            ++ctr_.writebackHits;
-            tags_.setDirty(set, *s, true);
-            const SegCount newSegs = compressedSegmentsFor(comp_, data);
-            ++ctr_.compressions;
-            if (newSegs > storedSegs && !fits(set, *s, newSegs) &&
-                tags_.valid(set, partnerOf(*s))) {
-                // The rewritten line grew past its partner: evict the
-                // partner (write hit scenario, Section IV.B.5 analog).
-                ++ctr_.partnerEvictionsOnWrite;
-                evictSlot(set, partnerOf(*s), result);
-            }
-            tags_.setSegments(set, *s, newSegs);
-        } else if (demand) {
-            ++ctr_.demandHits;
-            repl_->onHit(set, *s);
-        } else {
-            ++ctr_.prefetchHits;
+        const SegCount newSegs = compressedSegmentsFor(comp_, data);
+        ++ctr_.compressions;
+        if (newSegs > storedSegs && !fits(set, *s, newSegs) &&
+            tags_.valid(set, partnerOf(*s))) {
+            // The rewritten line grew past its partner: evict the
+            // partner (write hit scenario, Section IV.B.5 analog).
+            ++ctr_.partnerEvictionsOnWrite;
+            evictSlot(set, partnerOf(*s), result);
         }
+        tags_.setSegments(set, *s, newSegs);
         return result;
     }
 
-    if (type == AccessType::Writeback)
-        panic("TwoTagLlc: writeback miss violates inclusion");
-
-    if (demand)
-        ++ctr_.demandMisses;
-    else
-        ++ctr_.prefetchMisses;
-
+    countMiss(type);
     const SegCount segments = compressedSegmentsFor(comp_, data);
     ++ctr_.compressions;
 
@@ -140,7 +84,7 @@ TwoTagLlc::access(Addr blk, AccessType type, const std::uint8_t *data)
     // cache allocation); they differ in victim selection when none is
     // available.
     std::optional<WayIdx> fillSlot;
-    for (const WayIdx cand : indexRange<WayIdx>(numSlots())) {
+    for (const WayIdx cand : indexRange<WayIdx>(numWays())) {
         if (!tags_.valid(set, cand) && fits(set, cand, segments)) {
             fillSlot = cand;
             break;
@@ -158,14 +102,8 @@ TwoTagLlc::access(Addr blk, AccessType type, const std::uint8_t *data)
         evictSlot(set, partnerOf(*fillSlot), result);
     }
 
-    CacheLine fill;
-    fill.tag = blk;
-    fill.valid = true;
-    fill.dirty = false;
-    fill.segments = segments;
-    tags_.install(set, *fillSlot, fill);
-    repl_->onFill(set, *fillSlot);
-    ++ctr_.fills;
+    fillLine(set, *fillSlot,
+             CacheLine{.tag = blk, .valid = true, .segments = segments});
     return result;
 }
 
@@ -173,79 +111,28 @@ LlcResult
 TwoTagLlc::coherenceInvalidate(Addr blk)
 {
     LlcResult result;
-    const SetIdx set = setIndex(blk);
-    if (const std::optional<WayIdx> s = findSlot(set, blk)) {
-        evictSlot(set, *s, result);
-        ++ctr_.coherenceInvalidations;
-    }
+    if (snoop(setIndex(blk), blk, result))
+        ++ctr_.evictions;
     return result;
-}
-
-bool
-TwoTagLlc::probe(Addr blk) const
-{
-    return findSlot(setIndex(blk), blk).has_value();
-}
-
-void
-TwoTagLlc::downgradeHint(Addr blk)
-{
-    const SetIdx set = setIndex(blk);
-    if (const std::optional<WayIdx> s = findSlot(set, blk))
-        repl_->downgradeHint(set, *s);
-}
-
-std::size_t
-TwoTagLlc::validLines() const
-{
-    return tags_.validCount();
-}
-
-bool
-TwoTagLlc::checkPairFit() const
-{
-    for (const SetIdx set : indexRange<SetIdx>(sets_))
-        if (!checkSetInvariants(set).empty())
-            return false;
-    return true;
 }
 
 std::string
 TwoTagLlc::checkSetInvariants(SetIdx set) const
 {
-    for (const WayIdx s : indexRange<WayIdx>(numSlots())) {
+    std::string violation = SetAssocLlc::checkSetInvariants(set);
+    for (WayIdx s{0}; violation.empty() && s.get() < numWays();
+         s = WayIdx{s.get() + 2}) {
         const CacheLine line = tags_.line(set, s);
-        if (!line.valid)
-            continue;
-        if (line.segments > kFullLineSegments)
-            return "line exceeds 16 segments in slot " +
-                std::to_string(s.get());
         const CacheLine partner = tags_.line(set, partnerOf(s));
-        if (s < partnerOf(s) && partner.valid &&
+        if (line.valid && partner.valid &&
             line.segments + partner.segments > kFullLineSegments) {
-            return "pair-fit violated in physical way " +
+            violation = "pair-fit violated in physical way " +
                 std::to_string(s.get() / 2) + ": " +
                 std::to_string(line.segments.get()) + " + " +
                 std::to_string(partner.segments.get()) + " segments";
         }
-        for (WayIdx other{s.get() + 1}; other.get() < numSlots();
-             ++other) {
-            if (tags_.valid(set, other) &&
-                tags_.tag(set, other) == line.tag)
-                return "duplicate tag in slots " +
-                    std::to_string(s.get()) + " and " +
-                    std::to_string(other.get());
-        }
     }
-    return {};
-}
-
-TwoTagNaiveLlc::TwoTagNaiveLlc(std::size_t sizeBytes,
-                               std::size_t physWays,
-                               ReplacementKind repl,
-                               const Compressor &comp)
-    : TwoTagLlc("llc", sizeBytes, physWays, repl, comp)
-{
+    return violation;
 }
 
 WayIdx
@@ -254,14 +141,6 @@ TwoTagNaiveLlc::chooseVictimSlot(SetIdx set, SegCount)
     // Strictly follow the policy: whoever it names, even if that forces
     // the partner line out as well.
     return repl_->victim(set);
-}
-
-TwoTagModifiedLlc::TwoTagModifiedLlc(std::size_t sizeBytes,
-                                     std::size_t physWays,
-                                     ReplacementKind repl,
-                                     const Compressor &comp)
-    : TwoTagLlc("llc", sizeBytes, physWays, repl, comp)
-{
 }
 
 WayIdx
@@ -278,11 +157,9 @@ TwoTagModifiedLlc::chooseVictimSlot(SetIdx set, SegCount segments)
             continue;
         // Fit check against the partner, ignoring the candidate itself
         // (it is being evicted).
-        const WayIdx partner = partnerOf(cand);
-        const bool ok = !tags_.valid(set, partner) ||
-            tags_.segments(set, partner) + segments <= kFullLineSegments;
         const SegCount candSegs = tags_.segments(set, cand);
-        if (ok && (!best || candSegs > bestSegments)) {
+        if (fits(set, cand, segments) &&
+            (!best || candSegs > bestSegments)) {
             best = cand;
             bestSegments = candSegs;
         }

@@ -11,13 +11,7 @@
 #ifndef BVC_CORE_TWO_TAG_ARRAY_HH_
 #define BVC_CORE_TWO_TAG_ARRAY_HH_
 
-#include <memory>
-#include <optional>
-
-#include "cache/cache_line.hh"
-#include "cache/tag_array.hh"
-#include "core/llc_interface.hh"
-#include "replacement/factory.hh"
+#include "core/set_assoc_llc.hh"
 
 namespace bvc
 {
@@ -27,9 +21,10 @@ namespace bvc
  * a set: slot = physicalWay * 2 + tagIndex; slots are the "ways" the
  * spanning replacement policy sees, so they use WayIdx. Two logical
  * lines sharing a physical way must satisfy
- * segments(a) + segments(b) <= 16.
+ * segments(a) + segments(b) <= 16. Every resident line is baseline
+ * content (no baseline/victim split), so upper levels may hold it.
  */
-class TwoTagLlc : public Llc
+class TwoTagLlc : public SetAssocLlc
 {
   public:
     /**
@@ -39,51 +34,26 @@ class TwoTagLlc : public Llc
      * @param repl      replacement policy spanning the 2x logical slots
      * @param comp      compression algorithm (not owned)
      */
-    TwoTagLlc(std::string statName, std::size_t sizeBytes,
-              std::size_t physWays, ReplacementKind repl,
-              const Compressor &comp);
+    TwoTagLlc(std::size_t sizeBytes, std::size_t physWays,
+              ReplacementKind repl, const Compressor &comp);
 
     LlcResult access(Addr blk, AccessType type,
                      const std::uint8_t *data) override;
-    [[nodiscard]] bool probe(Addr blk) const override;
-    /**
-     * The two-tag variants have no baseline/victim split: every resident
-     * line is "base" content and may be held by the upper levels.
-     */
-    [[nodiscard]] bool probeBase(Addr blk) const override
-    {
-        return probe(blk);
-    }
-    void downgradeHint(Addr blk) override;
+    /** A snoop drop counts as an eviction here, unlike the baseline. */
     LlcResult coherenceInvalidate(Addr blk) override;
-    [[nodiscard]] std::size_t validLines() const override;
-
-    [[nodiscard]] std::size_t numSets() const { return sets_; }
-    [[nodiscard]] std::size_t numPhysWays() const { return physWays_; }
-    [[nodiscard]] SetIdx setIndex(Addr blk) const;
-
-    /** Pair-fit invariant checker (used by tests). */
-    [[nodiscard]] bool checkPairFit() const;
 
     /**
      * Structural invariants of one set: per-line segments <= 16,
      * partner pair-fit, no duplicate tags across the 2x logical slots.
-     * Empty string when they hold, otherwise the first violation.
      */
-    [[nodiscard]] std::string checkSetInvariants(SetIdx set) const;
+    [[nodiscard]] std::string checkSetInvariants(SetIdx set) const override;
 
   protected:
-    [[nodiscard]] std::size_t numSlots() const { return physWays_ * 2; }
-
     /** Partner slot sharing the same physical way. */
     [[nodiscard]] static WayIdx partnerOf(WayIdx s)
     {
         return WayIdx{s.get() ^ 1};
     }
-
-    /** Find the logical slot holding blk. */
-    [[nodiscard]] std::optional<WayIdx> findSlot(SetIdx set,
-                                                 Addr blk) const;
 
     /** True if a line of `segments` can live in slot `s` of `set`. */
     [[nodiscard]] bool fits(SetIdx set, WayIdx s,
@@ -97,27 +67,19 @@ class TwoTagLlc : public Llc
     [[nodiscard]] virtual WayIdx chooseVictimSlot(SetIdx set,
                                                   SegCount segments) = 0;
 
-    /** Evict one slot: writeback accounting + back-invalidation. */
+  private:
+    /** Evict one slot: an eviction plus the skeleton's drop step. */
     void evictSlot(SetIdx set, WayIdx s, LlcResult &result);
 
-    /** Per-access counters resolved once (no string lookups per hit). */
+    /** Two-tag counters beyond the skeleton's, resolved once. */
     struct HotCounters
     {
         explicit HotCounters(StatGroup &stats);
 
-        Counter &accesses, &demandAccesses;
-        Counter &writebackHits, &compressions, &decompressions;
-        Counter &demandHits, &prefetchHits;
-        Counter &demandMisses, &prefetchMisses, &fills;
-        Counter &evictions, &memWritebacks, &backInvalidations;
+        Counter &compressions, &decompressions, &evictions;
         Counter &partnerEvictionsOnWrite, &partnerEvictionsOnFill;
-        Counter &coherenceInvalidations;
     };
 
-    std::size_t sets_;
-    std::size_t physWays_;
-    TagArray tags_; // SoA: sets_ x (2*physWays_) logical slots
-    std::unique_ptr<ReplacementPolicy> repl_;
     const Compressor &comp_;
     HotCounters ctr_;
 };
@@ -126,8 +88,7 @@ class TwoTagLlc : public Llc
 class TwoTagNaiveLlc : public TwoTagLlc
 {
   public:
-    TwoTagNaiveLlc(std::size_t sizeBytes, std::size_t physWays,
-                   ReplacementKind repl, const Compressor &comp);
+    using TwoTagLlc::TwoTagLlc;
 
     [[nodiscard]] std::string name() const override
     {
@@ -148,8 +109,7 @@ class TwoTagNaiveLlc : public TwoTagLlc
 class TwoTagModifiedLlc : public TwoTagLlc
 {
   public:
-    TwoTagModifiedLlc(std::size_t sizeBytes, std::size_t physWays,
-                      ReplacementKind repl, const Compressor &comp);
+    using TwoTagLlc::TwoTagLlc;
 
     [[nodiscard]] std::string name() const override
     {

@@ -1,43 +1,13 @@
 #include "core/uncompressed_llc.hh"
 
-#include <algorithm>
-
-#include "util/logging.hh"
-
 namespace bvc
 {
 
-UncompressedLlc::HotCounters::HotCounters(StatGroup &stats)
-    : accesses(stats.counter("accesses")),
-      demandAccesses(stats.counter("demand_accesses")),
-      writebackHits(stats.counter("writeback_hits")),
-      demandHits(stats.counter("demand_hits")),
-      prefetchHits(stats.counter("prefetch_hits")),
-      demandMisses(stats.counter("demand_misses")),
-      prefetchMisses(stats.counter("prefetch_misses")),
-      evictions(stats.counter("evictions")),
-      memWritebacks(stats.counter("mem_writebacks")),
-      backInvalidations(stats.counter("back_invalidations")),
-      fills(stats.counter("fills")),
-      coherenceInvalidations(stats.counter("coherence_invalidations"))
-{
-}
-
 UncompressedLlc::UncompressedLlc(std::size_t sizeBytes, std::size_t ways,
                                  ReplacementKind repl)
-    : Llc("llc"),
-      sets_(cacheSetCount(sizeBytes, ways, "LLC")),
-      ways_(ways),
-      tags_(sets_, ways_),
-      ctr_(stats_)
+    : SetAssocLlc("LLC", sizeBytes, ways, ways, repl),
+      evictions_(stats_.counter("evictions"))
 {
-    repl_ = makeReplacement(repl, sets_, ways_);
-}
-
-SetIdx
-UncompressedLlc::setIndex(Addr blk) const
-{
-    return SetIdx{(blk >> kLineShift) & (sets_ - 1)};
 }
 
 LlcResult
@@ -45,115 +15,22 @@ UncompressedLlc::access(Addr blk, AccessType type, const std::uint8_t *)
 {
     LlcResult result;
     const SetIdx set = setIndex(blk);
-    const std::optional<WayIdx> way = findWay(set, blk);
-    const bool demand = type == AccessType::Read;
+    countAccess(type);
 
-    ++ctr_.accesses;
-    if (demand)
-        ++ctr_.demandAccesses;
-
-    if (way) {
-        // Hit. Only demand accesses promote; writebacks just set dirty.
+    if (const std::optional<WayIdx> way = tags_.find(set, blk)) {
         result.hit = true;
-        if (type == AccessType::Writeback) {
-            tags_.setDirty(set, *way, true);
-            ++ctr_.writebackHits;
-        } else if (demand) {
-            repl_->onHit(set, *way);
-            ++ctr_.demandHits;
-        } else {
-            ++ctr_.prefetchHits;
-        }
+        hitWay(set, *way, type);
         return result;
     }
 
-    if (type == AccessType::Writeback) {
-        // Inclusive hierarchy: the L2 can only hold lines the LLC holds.
-        panic("UncompressedLlc: writeback miss violates inclusion");
+    countMiss(type);
+    const WayIdx way = fillWay(set);
+    if (tags_.valid(set, way)) {
+        ++evictions_;
+        drop(tags_.tag(set, way), tags_.dirty(set, way), result);
     }
-
-    if (demand)
-        ++ctr_.demandMisses;
-    else
-        ++ctr_.prefetchMisses;
-
-    // Fill: invalid way first, then the policy's victim.
-    std::optional<WayIdx> fillWay = tags_.firstInvalid(set);
-    if (!fillWay)
-        fillWay = repl_->victim(set);
-
-    if (tags_.valid(set, *fillWay)) {
-        const Addr victimTag = tags_.tag(set, *fillWay);
-        ++ctr_.evictions;
-        if (tags_.dirty(set, *fillWay)) {
-            result.memWritebacks.push_back(victimTag);
-            ++ctr_.memWritebacks;
-        }
-        result.backInvalidations.push_back(victimTag);
-        ++ctr_.backInvalidations;
-    }
-
-    CacheLine fill;
-    fill.tag = blk;
-    fill.valid = true;
-    fill.dirty = false;
-    fill.segments = kFullLineSegments;
-    tags_.install(set, *fillWay, fill);
-    repl_->onFill(set, *fillWay);
-    ++ctr_.fills;
+    fillLine(set, way, CacheLine{.tag = blk, .valid = true});
     return result;
-}
-
-LlcResult
-UncompressedLlc::coherenceInvalidate(Addr blk)
-{
-    LlcResult result;
-    const SetIdx set = setIndex(blk);
-    const std::optional<WayIdx> way = findWay(set, blk);
-    if (!way)
-        return result;
-    if (tags_.dirty(set, *way)) {
-        result.memWritebacks.push_back(blk);
-        ++ctr_.memWritebacks;
-    }
-    result.backInvalidations.push_back(blk);
-    ++ctr_.backInvalidations;
-    tags_.invalidate(set, *way);
-    repl_->onInvalidate(set, *way);
-    ++ctr_.coherenceInvalidations;
-    return result;
-}
-
-bool
-UncompressedLlc::probe(Addr blk) const
-{
-    return findWay(setIndex(blk), blk).has_value();
-}
-
-void
-UncompressedLlc::downgradeHint(Addr blk)
-{
-    const SetIdx set = setIndex(blk);
-    if (const std::optional<WayIdx> way = findWay(set, blk))
-        repl_->downgradeHint(set, *way);
-}
-
-std::size_t
-UncompressedLlc::validLines() const
-{
-    return tags_.validCount();
-}
-
-std::vector<Addr>
-UncompressedLlc::setContents(SetIdx set) const
-{
-    std::vector<Addr> contents;
-    for (const WayIdx w : indexRange<WayIdx>(ways_)) {
-        if (tags_.valid(set, w))
-            contents.push_back(tags_.tag(set, w));
-    }
-    std::sort(contents.begin(), contents.end());
-    return contents;
 }
 
 } // namespace bvc

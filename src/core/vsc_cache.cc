@@ -1,58 +1,31 @@
 #include "core/vsc_cache.hh"
 
-#include "util/logging.hh"
-
 namespace bvc
 {
 
 VscLlc::HotCounters::HotCounters(StatGroup &stats)
-    : accesses(stats.counter("accesses")),
-      demandAccesses(stats.counter("demand_accesses")),
-      writebackHits(stats.counter("writeback_hits")),
-      demandHits(stats.counter("demand_hits")),
-      prefetchHits(stats.counter("prefetch_hits")),
-      demandMisses(stats.counter("demand_misses")),
-      prefetchMisses(stats.counter("prefetch_misses")),
-      fills(stats.counter("fills")),
-      evictions(stats.counter("evictions")),
-      memWritebacks(stats.counter("mem_writebacks")),
+    : evictions(stats.counter("evictions")),
       recompactions(stats.counter("recompactions")),
       fillEvictions(stats.counter("fill_evictions")),
-      multiEvictFills(stats.counter("multi_evict_fills")),
-      coherenceInvalidations(stats.counter("coherence_invalidations"))
+      multiEvictFills(stats.counter("multi_evict_fills"))
 {
 }
 
 VscLlc::VscLlc(std::size_t sizeBytes, std::size_t physWays,
                const Compressor &comp)
-    : Llc("llc"),
-      sets_(cacheSetCount(sizeBytes, physWays, "VSC")),
-      physWays_(physWays),
-      tagsPerSet_(physWays * 2),
-      tags_(sets_, physWays * 2),
+    : SetAssocLlc("VSC", sizeBytes, physWays, physWays * 2,
+                  ReplacementKind::Lru, kLineShift, true,
+                  /*countsBackInvalidations=*/false),
       comp_(comp),
       ctr_(stats_)
 {
-    repl_ = std::make_unique<LruPolicy>(sets_, tagsPerSet_);
-}
-
-SetIdx
-VscLlc::setIndex(Addr blk) const
-{
-    return SetIdx{(blk >> kLineShift) & (sets_ - 1)};
-}
-
-std::optional<WayIdx>
-VscLlc::findSlot(SetIdx set, Addr blk) const
-{
-    return tags_.find(set, blk);
 }
 
 SegCount
 VscLlc::usedSegments(SetIdx set) const
 {
     SegCount used{0};
-    for (const WayIdx s : indexRange<WayIdx>(tagsPerSet_)) {
+    for (const WayIdx s : indexRange<WayIdx>(numWays())) {
         if (tags_.valid(set, s))
             used += tags_.segments(set, s);
     }
@@ -62,25 +35,16 @@ VscLlc::usedSegments(SetIdx set) const
 void
 VscLlc::evictSlot(SetIdx set, WayIdx victim, LlcResult &result)
 {
-    if (tags_.dirty(set, victim)) {
-        result.memWritebacks.push_back(tags_.tag(set, victim));
-        ++ctr_.memWritebacks;
-    }
-    result.backInvalidations.push_back(tags_.tag(set, victim));
-    tags_.invalidate(set, victim);
-    repl_->onInvalidate(set, victim);
     ++ctr_.evictions;
+    dropWay(set, victim, result);
 }
 
 LlcResult
 VscLlc::coherenceInvalidate(Addr blk)
 {
     LlcResult result;
-    const SetIdx set = setIndex(blk);
-    if (const std::optional<WayIdx> s = findSlot(set, blk)) {
-        evictSlot(set, *s, result);
-        ++ctr_.coherenceInvalidations;
-    }
+    if (snoop(setIndex(blk), blk, result))
+        ++ctr_.evictions;
     return result;
 }
 
@@ -89,124 +53,59 @@ VscLlc::access(Addr blk, AccessType type, const std::uint8_t *data)
 {
     LlcResult result;
     const SetIdx set = setIndex(blk);
-    const std::optional<WayIdx> s = findSlot(set, blk);
-    const bool demand = type == AccessType::Read;
+    countAccess(type);
 
-    ++ctr_.accesses;
-    if (demand)
-        ++ctr_.demandAccesses;
-
-    const SegCount capacity{physWays_ * kSegmentsPerLine};
-
-    if (s) {
+    if (const std::optional<WayIdx> s = tags_.find(set, blk)) {
         result.hit = true;
+        hitWay(set, *s, type);
         if (type == AccessType::Writeback) {
-            ++ctr_.writebackHits;
-            tags_.setDirty(set, *s, true);
             // A grown line may force evictions to stay within capacity;
             // this is VSC's re-compaction overhead (drawback 1, Sec II).
             tags_.setSegments(set, *s,
                               compressedSegmentsFor(comp_, data));
-            while (usedSegments(set) > capacity) {
-                for (const WayIdx victim : repl_->rank(set)) {
-                    if (!tags_.valid(set, victim) || victim == *s)
-                        continue;
-                    evictSlot(set, victim, result);
-                    break;
-                }
-            }
+            evictOldestWhile(
+                set, *s,
+                [&] { return usedSegments(set) > dataSegments(); },
+                [&](WayIdx victim) { evictSlot(set, victim, result); });
             ++ctr_.recompactions;
-        } else if (demand) {
-            ++ctr_.demandHits;
-            repl_->onHit(set, *s);
-        } else {
-            ++ctr_.prefetchHits;
         }
         return result;
     }
 
-    if (type == AccessType::Writeback)
-        panic("VscLlc: writeback miss violates inclusion");
-
-    if (demand)
-        ++ctr_.demandMisses;
-    else
-        ++ctr_.prefetchMisses;
-
+    countMiss(type);
     const SegCount segments = compressedSegmentsFor(comp_, data);
-
-    // Find a free tag slot.
-    std::optional<WayIdx> fillSlot = tags_.firstInvalid(set);
 
     // Evict in LRU order until both a tag and enough segments free up
     // (drawback 3 of Section II: multiple evictions per fill).
+    std::optional<WayIdx> fillSlot = tags_.firstInvalid(set);
     lastFillEvictions_ = 0;
-    while (!fillSlot || usedSegments(set) + segments > capacity) {
-        std::optional<WayIdx> victim;
-        for (const WayIdx cand : repl_->rank(set)) {
-            if (tags_.valid(set, cand)) {
-                victim = cand;
-                break;
-            }
-        }
-        panicIf(!victim, "VscLlc: nothing left to evict");
-        evictSlot(set, *victim, result);
-        ++lastFillEvictions_;
-        if (!fillSlot)
-            fillSlot = victim;
-    }
+    evictOldestWhile(
+        set, std::nullopt,
+        [&] {
+            return !fillSlot ||
+                usedSegments(set) + segments > dataSegments();
+        },
+        [&](WayIdx victim) {
+            evictSlot(set, victim, result);
+            ++lastFillEvictions_;
+            if (!fillSlot)
+                fillSlot = victim;
+        });
     ctr_.fillEvictions += lastFillEvictions_;
     if (lastFillEvictions_ > 1)
         ++ctr_.multiEvictFills;
 
-    CacheLine fill;
-    fill.tag = blk;
-    fill.valid = true;
-    fill.dirty = false;
-    fill.segments = segments;
-    tags_.install(set, *fillSlot, fill);
-    repl_->onFill(set, *fillSlot);
-    ++ctr_.fills;
+    fillLine(set, *fillSlot,
+             CacheLine{.tag = blk, .valid = true, .segments = segments});
     return result;
-}
-
-bool
-VscLlc::probe(Addr blk) const
-{
-    return findSlot(setIndex(blk), blk).has_value();
-}
-
-std::size_t
-VscLlc::validLines() const
-{
-    return tags_.validCount();
 }
 
 std::string
 VscLlc::checkSetInvariants(SetIdx set) const
 {
-    const SegCount capacity{physWays_ * kSegmentsPerLine};
-    if (usedSegments(set) > capacity)
-        return "segment pool over budget: " +
-            std::to_string(usedSegments(set).get()) + " > " +
-            std::to_string(capacity.get());
-    for (const WayIdx s : indexRange<WayIdx>(tagsPerSet_)) {
-        const CacheLine line = tags_.line(set, s);
-        if (!line.valid)
-            continue;
-        if (line.segments > kFullLineSegments)
-            return "line exceeds 16 segments in slot " +
-                std::to_string(s.get());
-        for (WayIdx other{s.get() + 1}; other.get() < tagsPerSet_;
-             ++other) {
-            if (tags_.valid(set, other) &&
-                tags_.tag(set, other) == line.tag)
-                return "duplicate tag in slots " +
-                    std::to_string(s.get()) + " and " +
-                    std::to_string(other.get());
-        }
-    }
-    return {};
+    const std::string violation = poolOverBudget(usedSegments(set));
+    return violation.empty() ? SetAssocLlc::checkSetInvariants(set)
+                             : violation;
 }
 
 } // namespace bvc

@@ -18,19 +18,13 @@
 #ifndef BVC_CORE_VSC_CACHE_HH_
 #define BVC_CORE_VSC_CACHE_HH_
 
-#include <memory>
-#include <optional>
-
-#include "cache/cache_line.hh"
-#include "cache/tag_array.hh"
-#include "core/llc_interface.hh"
-#include "replacement/lru.hh"
+#include "core/set_assoc_llc.hh"
 
 namespace bvc
 {
 
 /** Functional VSC-2X capacity model. */
-class VscLlc : public Llc
+class VscLlc : public SetAssocLlc
 {
   public:
     /**
@@ -43,13 +37,8 @@ class VscLlc : public Llc
 
     LlcResult access(Addr blk, AccessType type,
                      const std::uint8_t *data) override;
-    [[nodiscard]] bool probe(Addr blk) const override;
-    [[nodiscard]] bool probeBase(Addr blk) const override
-    {
-        return probe(blk);
-    }
+    /** A snoop drop counts as an eviction here, unlike the baseline. */
     LlcResult coherenceInvalidate(Addr blk) override;
-    [[nodiscard]] std::size_t validLines() const override;
     [[nodiscard]] std::string name() const override { return "VSC-2X"; }
 
     /** Lines evicted by the most recent fill (replacement complexity). */
@@ -58,44 +47,28 @@ class VscLlc : public Llc
         return lastFillEvictions_;
     }
 
-    [[nodiscard]] std::size_t numSets() const { return sets_; }
-    [[nodiscard]] SetIdx setIndex(Addr blk) const;
-
     /** Total segments used in a set (must be <= ways*16). */
     [[nodiscard]] SegCount usedSegments(SetIdx set) const;
 
     /**
      * Structural invariants of one set: segment pool within the
      * physWays*16 budget, per-line segments <= 16, no duplicate tags.
-     * Empty string when they hold, otherwise the first violation.
      */
-    [[nodiscard]] std::string checkSetInvariants(SetIdx set) const;
+    [[nodiscard]] std::string checkSetInvariants(SetIdx set) const override;
 
   private:
-    [[nodiscard]] std::optional<WayIdx> findSlot(SetIdx set,
-                                                 Addr blk) const;
-
-    /** Evict the line in `victim`, with writeback accounting. */
+    /** Evict one slot: an eviction plus the skeleton's drop step. */
     void evictSlot(SetIdx set, WayIdx victim, LlcResult &result);
 
-    /** Per-access counters resolved once (no string lookups per hit). */
+    /** VSC counters beyond the skeleton's, resolved once. */
     struct HotCounters
     {
         explicit HotCounters(StatGroup &stats);
 
-        Counter &accesses, &demandAccesses;
-        Counter &writebackHits, &demandHits, &prefetchHits;
-        Counter &demandMisses, &prefetchMisses, &fills;
-        Counter &evictions, &memWritebacks, &recompactions;
+        Counter &evictions, &recompactions;
         Counter &fillEvictions, &multiEvictFills;
-        Counter &coherenceInvalidations;
     };
 
-    std::size_t sets_;
-    std::size_t physWays_;
-    std::size_t tagsPerSet_;
-    TagArray tags_; // SoA: sets_ x (2*physWays_) decoupled tag slots
-    std::unique_ptr<LruPolicy> repl_;
     const Compressor &comp_;
     unsigned lastFillEvictions_ = 0;
     HotCounters ctr_;

@@ -83,7 +83,10 @@ jsonEscape(const std::string &s)
 class JsonReader
 {
   public:
+    /** Parses `text` in place; `text` must outlive the reader. */
     explicit JsonReader(const std::string &text) : text_(text) {}
+    /** A temporary would dangle before the first parse call. */
+    explicit JsonReader(std::string &&) = delete;
 
     /** Skip whitespace and peek the next character (0 at end). */
     char peek()

@@ -75,7 +75,7 @@ TEST_P(MirrorInvariant, BaseContentMirrorsUncompressedCache)
         if (step % 2500 == 0) {
             for (const SetIdx set : indexRange<SetIdx>(bv.numSets())) {
                 ASSERT_EQ(bv.baseSetContents(set),
-                          shadow.setContents(set))
+                          shadow.baseSetContents(set))
                     << "set " << set.get() << " step " << step;
             }
         }
@@ -83,7 +83,7 @@ TEST_P(MirrorInvariant, BaseContentMirrorsUncompressedCache)
 
     // Full mirror check at the end.
     for (const SetIdx set : indexRange<SetIdx>(bv.numSets()))
-        ASSERT_EQ(bv.baseSetContents(set), shadow.setContents(set));
+        ASSERT_EQ(bv.baseSetContents(set), shadow.baseSetContents(set));
     EXPECT_GE(bvHits, shadowHits);
     EXPECT_TRUE(bv.checkInvariants());
 }

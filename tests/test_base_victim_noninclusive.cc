@@ -188,7 +188,7 @@ TEST_F(NonInclusiveTest, MirrorInvariantStillHolds)
         }
     }
     for (const SetIdx set : indexRange<SetIdx>(llc_.numSets()))
-        ASSERT_EQ(llc_.baseSetContents(set), shadow.setContents(set));
+        ASSERT_EQ(llc_.baseSetContents(set), shadow.baseSetContents(set));
 }
 
 TEST(SegmentQuantum, EightByteAlignmentRoundsSizesUp)

@@ -475,7 +475,9 @@ TEST(Json, BadUnicodeEscapeIsRejected)
         EXPECT_THROW(reader.parseString(), BvcError) << bad;
     }
 
-    JsonReader good("\"\\u0041\\u0009\"");
+    // The reader keeps a reference to its text: name it.
+    const std::string goodText = "\"\\u0041\\u0009\"";
+    JsonReader good(goodText);
     EXPECT_EQ(good.parseString(), "A\t");
 }
 

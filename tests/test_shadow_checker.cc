@@ -199,6 +199,33 @@ TEST(ShadowCheckerDeathTest, CatchesDuplicateTag)
         "tag in both B and V sections");
 }
 
+/** A model the checker has no special case for, with a planted fault. */
+class PlantedViolationLlc : public UncompressedLlc
+{
+  public:
+    using UncompressedLlc::UncompressedLlc;
+
+    [[nodiscard]] std::string checkSetInvariants(SetIdx) const override
+    {
+        return "planted violation";
+    }
+};
+
+TEST(ShadowCheckerDeathTest, ReachesAnyModelsStructuralCheck)
+{
+    // The checker runs every SetAssocLlc model's own per-set check
+    // after each access, with no per-model wiring.
+    EXPECT_DEATH(
+        {
+            ShadowChecker checker(std::make_unique<PlantedViolationLlc>(
+                                      kBytes, kWays, ReplacementKind::Lru),
+                                  kBytes, kWays, ReplacementKind::Lru);
+            std::uint8_t line[kLineBytes] = {};
+            checker.access(set0Blk(1), AccessType::Read, line);
+        },
+        "structural invariant violated: planted violation");
+}
+
 TEST(ShadowCheckerDeathTest, CatchesDivergenceOnBatchedDecodePath)
 {
     EXPECT_DEATH(

@@ -13,15 +13,23 @@
  *     BVC_UPDATE_GOLDEN=1 ./build/tests/test_stats_golden
  *
  * and review the diff like any other behaviour change.
+ *
+ * The "direct" sections drive each LLC model straight from a mixed
+ * stream (tests/llc_stream.hh) with snoop invalidations and resizing
+ * writebacks, so counting rules that differ between models, such as
+ * which of them count a snoop drop as an eviction, are pinned too.
  */
 
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "compress/factory.hh"
+#include "llc_stream.hh"
 #include "runner/report.hh"
 #include "sim/multicore.hh"
 #include "sim/system.hh"
@@ -110,6 +118,49 @@ multiCoreSnapshot()
     return out.str();
 }
 
+/**
+ * One direct-LLC section per model, including the non-inclusive
+ * Base-Victim variant: the mixed stream of llc_stream.hh reaches snoop
+ * invalidations, and writebacks that grow or shrink resident lines,
+ * which the System windows above never or rarely produce.
+ */
+std::string
+directLlcSnapshot()
+{
+    struct DirectCase
+    {
+        const char *name; //!< section title
+        LlcArch arch;     //!< organization under test
+        bool inclusive;   //!< SystemConfig::llcInclusive
+    };
+    constexpr DirectCase kCases[] = {
+        {"Uncompressed", LlcArch::Uncompressed, true},
+        {"TwoTagNaive", LlcArch::TwoTagNaive, true},
+        {"TwoTagModified", LlcArch::TwoTagModified, true},
+        {"BaseVictim", LlcArch::BaseVictim, true},
+        {"BaseVictimNonInclusive", LlcArch::BaseVictim, false},
+        {"VSC", LlcArch::Vsc, true},
+        {"DCC", LlcArch::Dcc, true},
+    };
+    std::ostringstream out;
+    for (const DirectCase &c : kCases) {
+        SystemConfig cfg;
+        cfg.llcBytes = 32 * 1024;
+        cfg.llcWays = 8;
+        cfg.arch = c.arch;
+        cfg.llcInclusive = c.inclusive;
+        const std::unique_ptr<Compressor> comp =
+            makeCompressor(cfg.compressor);
+        const std::unique_ptr<Llc> llc = makeLlc(cfg, *comp);
+        testhelpers::driveMixedStream(*llc, 31, 20'000, !c.inclusive,
+                                      [](const LlcResult &) {});
+        out << "== direct " << c.name << " ==\n";
+        out << "valid_lines " << llc->validLines() << "\n";
+        out << llc->stats().dump();
+    }
+    return out.str();
+}
+
 std::string
 goldenPath()
 {
@@ -119,7 +170,7 @@ goldenPath()
 TEST(StatsGolden, CountersMatchCommittedSnapshot)
 {
     const std::string got =
-        singleCoreSnapshot() + multiCoreSnapshot();
+        singleCoreSnapshot() + multiCoreSnapshot() + directLlcSnapshot();
 
     const char *update = std::getenv("BVC_UPDATE_GOLDEN");
     if (update != nullptr && std::string(update) == "1") {

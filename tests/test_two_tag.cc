@@ -41,7 +41,7 @@ TEST_F(TwoTagTest, CompressiblePairsDoubleCapacity)
         llc.access(setAddr(i), AccessType::Read, line.data());
     for (unsigned i = 0; i < 2 * kWays; ++i)
         EXPECT_TRUE(llc.probe(setAddr(i))) << i;
-    EXPECT_TRUE(llc.checkPairFit());
+    EXPECT_TRUE(llc.checkInvariants());
 }
 
 TEST_F(TwoTagTest, IncompressibleLinesUseOneTagPerWay)
@@ -56,7 +56,7 @@ TEST_F(TwoTagTest, IncompressibleLinesUseOneTagPerWay)
     for (unsigned i = 0; i < 2 * kWays; ++i)
         resident += llc.probe(setAddr(i));
     EXPECT_LE(resident, kWays);
-    EXPECT_TRUE(llc.checkPairFit());
+    EXPECT_TRUE(llc.checkInvariants());
 }
 
 TEST_F(TwoTagTest, NaiveEvictsPartnerOnMisfit)
@@ -75,7 +75,7 @@ TEST_F(TwoTagTest, NaiveEvictsPartnerOnMisfit)
     // Victim + partner both back-invalidated.
     EXPECT_EQ(result.backInvalidations.size(), 2u);
     EXPECT_GE(llc.stats().get("partner_evictions_on_fill"), 1u);
-    EXPECT_TRUE(llc.checkPairFit());
+    EXPECT_TRUE(llc.checkInvariants());
 }
 
 TEST_F(TwoTagTest, ModifiedAvoidsPartnerEvictionWhenPossible)
@@ -90,7 +90,7 @@ TEST_F(TwoTagTest, ModifiedAvoidsPartnerEvictionWhenPossible)
         llc.access(setAddr(100), AccessType::Read, small.data());
     EXPECT_EQ(result.backInvalidations.size(), 1u);
     EXPECT_EQ(llc.stats().get("partner_evictions_on_fill"), 0u);
-    EXPECT_TRUE(llc.checkPairFit());
+    EXPECT_TRUE(llc.checkInvariants());
 }
 
 TEST_F(TwoTagTest, ModifiedFallsBackWhenNothingFits)
@@ -108,7 +108,7 @@ TEST_F(TwoTagTest, ModifiedFallsBackWhenNothingFits)
         llc.access(setAddr(100), AccessType::Read, line.data());
     EXPECT_FALSE(result.hit);
     EXPECT_TRUE(llc.probe(setAddr(100)));
-    EXPECT_TRUE(llc.checkPairFit());
+    EXPECT_TRUE(llc.checkInvariants());
     (void)result;
 }
 
@@ -124,7 +124,7 @@ TEST_F(TwoTagTest, WritebackGrowthEvictsPartner)
     // Rewriting line 0 as incompressible grows it past its partner.
     const Line grown = randomLine(7);
     llc.access(setAddr(0), AccessType::Writeback, grown.data());
-    EXPECT_TRUE(llc.checkPairFit());
+    EXPECT_TRUE(llc.checkInvariants());
     EXPECT_TRUE(llc.probe(setAddr(0)));
     EXPECT_FALSE(llc.probe(setAddr(1)));
     EXPECT_EQ(llc.stats().get("partner_evictions_on_write"), 1u);
@@ -229,12 +229,12 @@ TEST_P(TwoTagFuzz, PairFitInvariantUnderRandomTraffic)
             modified.access(blk, AccessType::Read, line.data());
         }
         if (step % 500 == 0) {
-            ASSERT_TRUE(naive.checkPairFit());
-            ASSERT_TRUE(modified.checkPairFit());
+            ASSERT_TRUE(naive.checkInvariants());
+            ASSERT_TRUE(modified.checkInvariants());
         }
     }
-    ASSERT_TRUE(naive.checkPairFit());
-    ASSERT_TRUE(modified.checkPairFit());
+    ASSERT_TRUE(naive.checkInvariants());
+    ASSERT_TRUE(modified.checkInvariants());
     // The modified policy must not be worse at retaining lines.
     EXPECT_GE(modified.stats().get("demand_hits") + 2000,
               naive.stats().get("demand_hits"));
