@@ -1,5 +1,7 @@
 #include "compress/bdi.hh"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstring>
 
@@ -111,9 +113,9 @@ analyzeConfig(const std::uint8_t *line, std::uint64_t &base,
 }
 
 /**
- * All base-delta configurations, tried best first. The fixed encoded
- * sizes are non-decreasing in this order (17, 22, 25, 38, 38, 41
- * bytes), so the first configuration that validates is also a smallest.
+ * All base-delta configurations, in the order the encode path tries
+ * them. compress() keeps the smallest that validates; among equal
+ * sizes (B2D1 and B4D2, 38 bytes) the earlier one wins.
  */
 struct BdiConfig
 {
@@ -126,6 +128,78 @@ constexpr BdiConfig kBdiConfigs[] = {
     {BdiCompressor::B8D2, 8, 2}, {BdiCompressor::B2D1, 2, 1},
     {BdiCompressor::B4D2, 4, 2}, {BdiCompressor::B8D4, 8, 4},
 };
+
+/** The line read as elements of one base width. */
+template <typename T>
+using Elems = std::array<T, kLineBytes / sizeof(T)>;
+
+template <typename T>
+Elems<T>
+loadElems(const std::uint8_t *line)
+{
+    Elems<T> elems{};
+    std::memcpy(elems.data(), line, kLineBytes);
+    return elems;
+}
+
+/**
+ * True if `v`, read as a signed number of T's width, fits in
+ * DeltaBytes signed bytes. One unsigned compare: adding half the
+ * range maps [-2^(8d-1), 2^(8d-1)) onto [0, 2^(8d)), and everything
+ * else wraps above it. DeltaBytes < sizeof(T), so no shift reaches
+ * the type's width.
+ */
+template <typename T, unsigned DeltaBytes>
+constexpr bool
+inDeltaRange(T v)
+{
+    static_assert(DeltaBytes < sizeof(T));
+    constexpr T kHalf = T{1} << (8 * DeltaBytes - 1);
+    constexpr T kSpan = T{1} << (8 * DeltaBytes);
+    return static_cast<T>(v + kHalf) < kSpan;
+}
+
+/**
+ * The explicit base of one configuration: its first element outside
+ * the zero-delta range. A line with no such element needs no base, and
+ * base 0 then validates it like the zero range does.
+ */
+template <typename T, unsigned DeltaBytes>
+T
+firstOutsideZeroRange(const Elems<T> &elems)
+{
+    for (const T v : elems)
+        if (!inDeltaRange<T, DeltaBytes>(v))
+            return v;
+    return 0;
+}
+
+/**
+ * Validate every delta width in DeltaBytes for one base width, in one
+ * pass over the elements. Each lane is a branch-free test: it fits
+ * around zero or around its width's base (deltas subtract in T, so
+ * they wrap at the element width). Bit j of the result is set when the
+ * j-th delta width validates.
+ */
+template <typename T, unsigned... DeltaBytes>
+unsigned
+validDeltaWidths(const Elems<T> &elems)
+{
+    const T bases[] = {firstOutsideZeroRange<T, DeltaBytes>(elems)...};
+    unsigned fits[] = {(static_cast<void>(DeltaBytes), 1U)...};
+    for (const T v : elems) {
+        unsigned j = 0;
+        ((fits[j] &= static_cast<unsigned>(
+              inDeltaRange<T, DeltaBytes>(v) |
+              inDeltaRange<T, DeltaBytes>(static_cast<T>(v - bases[j]))),
+          ++j),
+         ...);
+    }
+    unsigned valid = 0;
+    for (unsigned j = 0; j < sizeof...(DeltaBytes); ++j)
+        valid |= fits[j] << j;
+    return valid;
+}
 
 } // namespace
 
@@ -152,9 +226,8 @@ BdiCompressor::analyzeBaseDelta(const std::uint8_t *line,
                                 std::uint64_t &base,
                                 std::uint64_t &maskBits)
 {
-    // Dispatch to the width-specialized lane kernels (the hot path is
-    // the size-only validation in compressedBytes, which runs this for
-    // every LLC fill and writeback).
+    // Dispatch to the width-specialized lane kernels. Only the encode
+    // path comes here; compressedBytes() has its own size kernel.
     if (baseBytes == 8 && deltaBytes == 1)
         return analyzeConfig<8, 8>(line, base, maskBits);
     if (baseBytes == 8 && deltaBytes == 2)
@@ -269,20 +342,48 @@ BdiCompressor::compress(const std::uint8_t *line) const
 std::size_t
 BdiCompressor::compressedBytes(const std::uint8_t *line) const
 {
-    if (allZero(line))
+    const Elems<std::uint64_t> words64 = loadElems<std::uint64_t>(line);
+    std::uint64_t any = 0;
+    std::uint64_t diff = 0;
+    for (const std::uint64_t w : words64) {
+        any |= w;
+        diff |= w ^ words64[0];
+    }
+    if (any == 0)
         return encodedBytes(Zeros);
-    if (repeated8(line))
+    if (diff == 0)
         return encodedBytes(Rep8);
 
-    // Only the validation pass of each configuration runs; the encoded
-    // size is fixed per configuration, and the configurations are tried
-    // in non-decreasing size order, so the first hit is a smallest.
-    std::uint64_t base = 0, maskBits = 0;
-    for (const auto &cfg : kBdiConfigs) {
-        if (analyzeBaseDelta(line, cfg.base, cfg.delta, base, maskBits))
-            return encodedBytes(cfg.enc);
-    }
-    return encodedBytes(Uncompressed);
+    // B8D1 is the smallest base-delta encoding, so a hit is final;
+    // deciding it alone keeps small-integer lines at one short pass.
+    if (validDeltaWidths<std::uint64_t, 1>(words64) != 0)
+        return encodedBytes(B8D1);
+
+    // Then one pass per base width. The encoded sizes are fixed, so the
+    // answer is the smallest validated size, whatever order finds it.
+    std::size_t best = encodedBytes(Uncompressed);
+    const unsigned b8 = validDeltaWidths<std::uint64_t, 2, 4>(words64);
+    if ((b8 & 1U) != 0)
+        best = encodedBytes(B8D2);
+    else if ((b8 & 2U) != 0)
+        best = encodedBytes(B8D4);
+
+    // B4D1 (22 bytes) beats anything the 8-byte pass can find.
+    const Elems<std::uint32_t> words32 = loadElems<std::uint32_t>(line);
+    const unsigned b4 = validDeltaWidths<std::uint32_t, 1, 2>(words32);
+    if ((b4 & 1U) != 0)
+        return encodedBytes(B4D1);
+    if ((b4 & 2U) != 0)
+        best = std::min(best, encodedBytes(B4D2));
+
+    // 2-byte bases reach only B2D1 (38 bytes): skip them unless that
+    // beats the best size already found.
+    if (best <= encodedBytes(B2D1))
+        return best;
+    const Elems<std::uint16_t> words16 = loadElems<std::uint16_t>(line);
+    return validDeltaWidths<std::uint16_t, 1>(words16) != 0
+        ? encodedBytes(B2D1)
+        : best;
 }
 
 void

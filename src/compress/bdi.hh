@@ -46,7 +46,11 @@ class BdiCompressor : public Compressor
     };
 
     CompressedBlock compress(const std::uint8_t *line) const override;
-    /** Size-only path: validation passes only, no payload allocation. */
+    /**
+     * Size-only path, no payload and no allocation: zero and Rep8 from
+     * one pass over the words, then B8D1 alone, then one pass per base
+     * width that validates all its delta widths together.
+     */
     std::size_t compressedBytes(const std::uint8_t *line) const override;
     void decompress(const CompressedBlock &block,
                     std::uint8_t *out) const override;
@@ -57,9 +61,9 @@ class BdiCompressor : public Compressor
 
   private:
     /**
-     * Validation pass of one base-delta-immediate configuration: decide
-     * applicability and recover the base and base/immediate mask without
-     * materializing the payload (this is all compressedBytes() needs).
+     * Validation pass of one base-delta-immediate configuration for the
+     * encode path: decide applicability and recover the base and
+     * base/immediate mask that tryBaseDelta() emits.
      * @param line      the 64B input
      * @param baseBytes base element width (2, 4 or 8)
      * @param deltaBytes delta width (must be < baseBytes)

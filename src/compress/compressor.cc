@@ -21,10 +21,4 @@ Compressor::compressedBytes(const std::uint8_t *line) const
     return compress(line).sizeBytes();
 }
 
-unsigned
-Compressor::compressedSegments(const std::uint8_t *line) const
-{
-    return bytesToSegments(compressedBytes(line));
-}
-
 } // namespace bvc

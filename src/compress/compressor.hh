@@ -106,14 +106,6 @@ class Compressor
      */
     [[nodiscard]] virtual unsigned
     decompressionCycles(unsigned segments) const;
-
-    /**
-     * Convenience: compressed size of `line` in 4-byte segments. This is
-     * what the compressed-cache models store in tag metadata. Runs the
-     * size-only path.
-     */
-    [[nodiscard]] unsigned
-    compressedSegments(const std::uint8_t *line) const;
 };
 
 } // namespace bvc

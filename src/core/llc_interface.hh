@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -192,10 +193,13 @@ class Llc
 [[nodiscard]] inline SegCount
 compressedSegmentsFor(const Compressor &comp, const std::uint8_t *data)
 {
-    bool zero = true;
-    for (std::size_t i = 0; i < kLineBytes && zero; ++i)
-        zero = data[i] == 0;
-    if (zero)
+    std::uint64_t any = 0;
+    for (std::size_t i = 0; i < kLineBytes; i += 8) {
+        std::uint64_t word = 0;
+        std::memcpy(&word, data + i, 8);
+        any |= word;
+    }
+    if (any == 0)
         return kZeroLineSegments;
     // Size-only fast path: the models never consume the payload.
     return SegCount{bytesToSegments(comp.compressedBytes(data))};

@@ -72,6 +72,9 @@ TEST(BankedThreads, DisjointBankWritersRaceAggregationSafely)
 
     constexpr std::size_t kAccessesPerThread = 4000;
     std::atomic<bool> start{false};
+    // Writers start only once the reader has read once, so the reads
+    // overlap the writes however the threads are scheduled.
+    std::atomic<bool> readerRunning{false};
     std::atomic<bool> done{false};
 
     // One writer per bank, each touching ONLY addresses its bank
@@ -82,7 +85,7 @@ TEST(BankedThreads, DisjointBankWritersRaceAggregationSafely)
             const DataPattern pattern(DataPatternKind::MixedGood,
                                       17 + b);
             std::uint8_t line[kLineBytes];
-            while (!start.load(std::memory_order_acquire)) {
+            while (!readerRunning.load(std::memory_order_acquire)) {
             }
             for (std::size_t i = 0; i < kAccessesPerThread; ++i) {
                 const Addr blk =
@@ -105,11 +108,12 @@ TEST(BankedThreads, DisjointBankWritersRaceAggregationSafely)
         while (!start.load(std::memory_order_acquire)) {
         }
         std::uint64_t sink = 0;
-        while (!done.load(std::memory_order_acquire)) {
+        do {
             sink += llc->stats().get("accesses");
             sink += llc->validLines();
             sink += llc->name().size();
-        }
+            readerRunning.store(true, std::memory_order_release);
+        } while (!done.load(std::memory_order_acquire));
         EXPECT_GT(sink, 0u);
     });
 
